@@ -220,14 +220,6 @@ def mul(a, b):
     )
 
 
-def elementwise(a, b, kind):
-    """Dispatch by name; kept as the stable entry point for the gradcheck suite."""
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError(f"unknown elementwise kind {kind!r}; expected one of {sorted(ops)}")
-    return ops[kind](a, b)
-
-
 def tanh(a):
     out_values = np.tanh(a.values)
     if not _needs_graph(a):
@@ -237,10 +229,6 @@ def tanh(a):
         _accumulate(a, grad * (1.0 - out_values * out_values))
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
-
-
-# The activation used throughout the model stack.
-activation = tanh
 
 
 def sqrt(a):

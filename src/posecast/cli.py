@@ -1,9 +1,11 @@
 """Command-line surface: train, eval, predict, sweep, gradcheck, graph-dump.
 
-Every subcommand is a thin shell over the library; run configs are YAML
-key-value trees (see ``example_config``) and all randomness flows from the
-single config seed. Exit codes: 0 success, 1 verification failure,
-2 configuration error, 3 numerical failure.
+Every subcommand is a thin shell over the library. A run config is a YAML
+mapping whose ``model`` and ``train`` sections hold the fields of
+``ModelConfig`` and ``TrainConfig``; all randomness flows from the single
+top-level ``seed``. ``main`` maps failures to exit codes: 0 success,
+1 verification failure, 2 configuration error (bad config, arguments or
+input files), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from . import data as data_io
@@ -24,6 +25,7 @@ from .training import (
     NumericalError,
     TrainConfig,
     baseline_report,
+    check_horizons,
     evaluate,
     train,
 )
@@ -38,40 +40,25 @@ class ConfigError(ValueError):
     pass
 
 
-def example_config():
-    return {
-        "seed": 0,
-        "dataset": "dataset.mgps",
-        "output_dir": "runs/quickstart",
-        "skeleton": "chain_8",
-        "model": {
-            "input_frames": 10,
-            "output_frames": 10,
-            "span": 2,
-            "max_hop": 3,
-            "strategy": "anchor",
-            "anchor_count": None,
-            "refine": True,
-            "value_schedule": [3, 64, 32, 64, 3],
-            "qk_schedule": [3, 64, 32, 16, 16, 3],
-        },
-        "train": {
-            "epochs": 50,
-            "batch_size": 32,
-            "lr_initial": 0.01,
-            "lr_decay_epochs": [20, 35, 45],
-            "lr_decay_factor": 0.1,
-            "clip_norm": 1.0,
-        },
-        "windows": {"stride": 1},
-        "horizons": [2, 5, 10],
-    }
-
-
 def _require(config, key):
     if key not in config or config[key] is None:
         raise ConfigError(f"missing required config field {key!r}")
     return config[key]
+
+
+def _section(cls, config, key, **overrides):
+    """Build ``cls`` from the config section ``key`` and the run seed."""
+    try:
+        return cls(**{**config.get(key, {}), **overrides}, seed=config.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _ints(name, values):
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def load_config(path):
@@ -85,52 +72,9 @@ def load_config(path):
     return config
 
 
-def _build_from_config(config):
-    seed = int(config.get("seed", 0))
-    skeleton = data_io.skeleton_preset(_require(config, "skeleton"))
-    m = dict(_require(config, "model"))
-    try:
-        model_config = ModelConfig(
-            input_frames=int(_require(m, "input_frames")),
-            output_frames=int(_require(m, "output_frames")),
-            span=int(m.get("span", 2)),
-            max_hop=int(m.get("max_hop", 3)),
-            strategy=m.get("strategy", "anchor"),
-            anchor_count=m.get("anchor_count"),
-            refine=bool(m.get("refine", True)),
-            value_schedule=tuple(m.get("value_schedule", (3, 64, 32, 64, 3))),
-            qk_schedule=tuple(m.get("qk_schedule", (3, 64, 32, 16, 16, 3))),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    return skeleton, model_config
-
-
-def _train_config(config):
-    t = dict(config.get("train", {}))
-    try:
-        return TrainConfig(
-            epochs=int(t.get("epochs", 50)),
-            batch_size=int(t.get("batch_size", 32)),
-            lr_initial=float(t.get("lr_initial", 0.01)),
-            lr_decay_epochs=tuple(t.get("lr_decay_epochs", (20, 35, 45))),
-            lr_decay_factor=float(t.get("lr_decay_factor", 0.1)),
-            clip_norm=t.get("clip_norm", 1.0),
-            seed=int(config.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
-def _load_windows(config, model_config, skeleton):
-    path = _require(config, "dataset")
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset: file not found: {path}")
-    sequences = data_io.load_sequences(path)
-    stride = int(config.get("windows", {}).get("stride", 1))
+def _load_windows(path, model_config, skeleton, stride=1):
     windows = data_io.make_windows(
-        sequences,
+        data_io.load_sequences(path),
         model_config.input_frames,
         model_config.output_frames,
         stride=stride,
@@ -157,59 +101,39 @@ def _write_log(path, log):
             ) + "\n")
 
 
-def _run_training(config, out_dir):
-    skeleton, model_config = _build_from_config(config)
-    train_config = _train_config(config)
-    windows = _load_windows(config, model_config, skeleton)
+def _run_training(config, out_dir, **model_overrides):
+    skeleton = data_io.skeleton_preset(_require(config, "skeleton"))
+    model_config = _section(ModelConfig, config, "model", **model_overrides)
+    train_config = _section(TrainConfig, config, "train")
+    horizons = _ints("horizons", config.get("horizons", [model_config.output_frames]))
+    check_horizons(horizons, model_config.output_frames)
+    stride = int(config.get("windows", {}).get("stride", 1))
+    windows = _load_windows(_require(config, "dataset"), model_config, skeleton, stride)
     model = build_model(skeleton, model_config)
     log = train(model, windows, train_config)
 
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.pckp"), model)
     _write_log(os.path.join(out_dir, "train_log.jsonl"), log)
-    horizons = [int(h) for h in config.get("horizons", [model_config.output_frames])]
     report = evaluate(model, windows, horizons)
     with open(os.path.join(out_dir, "eval_report.txt"), "w") as f:
         f.write(report.format_table() + "\n")
-    return model, log, report
+    return model, windows
 
 
 def cmd_train(args):
-    try:
-        config = load_config(args.config)
-        out_dir = config.get("output_dir", "runs/default")
-        _run_training(config, out_dir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    config = load_config(args.config)
+    out_dir = config.get("output_dir", "runs/default")
+    _run_training(config, out_dir)
     print(f"wrote checkpoint, train_log.jsonl, eval_report.txt to {out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args):
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    sequences = data_io.load_sequences(args.dataset)
-    cfg = model.config
-    windows = data_io.make_windows(
-        sequences, cfg.input_frames, cfg.output_frames, skeleton=model.skeleton
-    )
-    if len(windows) == 0 or windows.inputs.shape[2] != model.joint_count:
-        print("configuration error: dataset does not match checkpoint dims",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    horizons = [int(h) for h in args.horizons.split(",")]
-    try:
-        report = evaluate(model, windows, horizons)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    model = load_checkpoint(args.checkpoint)
+    horizons = _ints("--horizons", args.horizons.split(","))
+    windows = _load_windows(args.dataset, model.config, model.skeleton)
+    report = evaluate(model, windows, horizons)
     extra = None
     if args.baseline:
         extra = {"baseline": baseline_report(windows, horizons).horizons}
@@ -225,11 +149,7 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    model = load_checkpoint(args.checkpoint)
     sequences = data_io.load_sequences(args.dataset)
     cfg = model.config
     outputs = []
@@ -246,28 +166,18 @@ def cmd_predict(args):
 
 
 def cmd_sweep(args):
-    try:
-        config = load_config(args.config)
-        spans = [int(x) for x in args.spans.split(",")]
-        hops = [int(x) for x in args.hops.split(",")]
-        base_out = config.get("output_dir", "runs/sweep")
-        horizon = int(args.horizon)
-        rows = []
-        for span in spans:
-            for hop in hops:
-                cell = {**config, "model": {**config["model"],
-                                            "span": span, "max_hop": hop}}
-                out_dir = os.path.join(base_out, f"L{span}D{hop}")
-                model, log, _ = _run_training(cell, out_dir)
-                windows = _load_windows(cell, model.config, model.skeleton)
-                report = evaluate(model, windows, [horizon])
-                rows.append((span, hop, report.horizons[horizon]))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    config = load_config(args.config)
+    spans = _ints("--spans", args.spans.split(","))
+    hops = _ints("--hops", args.hops.split(","))
+    horizon, = _ints("--horizon", [args.horizon])
+    base_out = config.get("output_dir", "runs/sweep")
+    rows = []
+    for span in spans:
+        for hop in hops:
+            out_dir = os.path.join(base_out, f"L{span}D{hop}")
+            model, windows = _run_training(config, out_dir, span=span, max_hop=hop)
+            report = evaluate(model, windows, [horizon])
+            rows.append((span, hop, report.horizons[horizon]))
     print(f"L  D  error@{horizon}")
     for span, hop, err in rows:
         print(f"{span}  {hop}  {err:.4f}")
@@ -288,11 +198,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_graph_dump(args):
-    try:
-        skeleton = data_io.skeleton_preset(args.skeleton)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    skeleton = data_io.skeleton_preset(args.skeleton)
     partition = graphs.build_hop_partition(skeleton, args.max_hop)
     multigraph = graphs.build_multigraph(partition, args.frames, args.span)
     os.makedirs(args.out, exist_ok=True)
@@ -349,7 +255,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # ConfigError, PoseFormatError, DimensionError, missing files.
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

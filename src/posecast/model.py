@@ -52,6 +52,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_frames", "output_frames", "span", "max_hop", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("value_schedule", "qk_schedule"):
+            object.__setattr__(self, name, tuple(int(c) for c in getattr(self, name)))
+        if self.anchor_count is not None:
+            object.__setattr__(self, "anchor_count", int(self.anchor_count))
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be true or false, got {self.refine!r}")
         if self.strategy not in attn.STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {attn.STRATEGIES}"
@@ -241,34 +249,46 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
+    """Inverse of save_checkpoint; any malformed file raises ValueError
+    naming the byte offset of the problem."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
-    if blob[4] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob[4]}")
-    off = 5
-    v, t, k, span, max_hop = struct.unpack_from("<IIIII", blob, off)
-    off += 20
-    slen, = struct.unpack_from("<I", blob, off)
-    off += 4
-    strategy = blob[off: off + slen].decode("ascii")
-    off += slen
-    n_a, refine, seed = struct.unpack_from("<IBq", blob, off)
-    off += 13
+    off = 0
+
+    def take(fmt, what):
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(blob):
+            raise ValueError(
+                f"truncated checkpoint at byte {off}: {what} needs {size} bytes, "
+                f"{len(blob) - off} remain"
+            )
+        values = struct.unpack_from(fmt, blob, off)
+        off += size
+        return values
+
+    def text(what):
+        n, = take("<I", f"{what} length")
+        raw, = take(f"{n}s", what)
+        try:
+            return raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{what} at byte {off - n} is not ASCII") from exc
+
+    magic, version = take("<4sB", "header")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r} at byte 0")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version} at byte 4")
+    v, t, k, span, max_hop = take("<IIIII", "dimensions")
+    strategy = text("strategy")
+    n_a, refine, seed = take("<IBq", "anchor count, refine flag and seed")
     schedules = []
-    for _ in range(2):
-        n, = struct.unpack_from("<I", blob, off)
-        off += 4
-        schedules.append(struct.unpack_from(f"<{n}I", blob, off))
-        off += 4 * n
-    n_edges, = struct.unpack_from("<I", blob, off)
-    off += 4
-    edges = []
-    for _ in range(n_edges):
-        a, b = struct.unpack_from("<II", blob, off)
-        off += 8
-        edges.append((a, b))
+    for what in ("value schedule", "qk schedule"):
+        n, = take("<I", f"{what} length")
+        schedules.append(take(f"<{n}I", what))
+    n_edges, = take("<I", "edge count")
+    edges = [take("<II", "edge") for _ in range(n_edges)]
 
     skeleton = SkeletonGraph(joint_count=v, edges=frozenset(edges))
     config = ModelConfig(
@@ -285,31 +305,26 @@ def load_checkpoint(path):
     )
     model = ForecastModel(skeleton, config)
 
-    n_params, = struct.unpack_from("<I", blob, off)
-    off += 4
+    n_params, = take("<I", "parameter block count")
     named = dict(_named_parameters(model))
     if n_params != len(named):
         raise ValueError(
             f"checkpoint holds {n_params} parameter blocks, model expects {len(named)}"
         )
     for _ in range(n_params):
-        nlen, = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off: off + nlen].decode("ascii")
-        off += nlen
-        ndim, = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape))
-        values = np.frombuffer(blob[off: off + 8 * size], dtype="<f8").reshape(shape)
-        off += 8 * size
+        start = off
+        name = text("parameter name")
+        ndim, = take("<I", f"rank of {name!r}")
+        shape = take(f"<{ndim}I", f"shape of {name!r}")
         if name not in named:
-            raise ValueError(f"unexpected parameter block {name!r}")
-        if named[name].values.shape != tuple(shape):
+            raise ValueError(f"unexpected parameter block {name!r} at byte {start}")
+        if named[name].values.shape != shape:
             raise ValueError(
-                f"parameter {name!r} shape {tuple(shape)} does not match "
-                f"model shape {named[name].values.shape}"
+                f"parameter {name!r} at byte {start} has shape {shape}, "
+                f"model expects {named[name].values.shape}"
             )
-        named[name].values[...] = values
+        raw, = take(f"{8 * named[name].values.size}s", f"values of {name!r}")
+        named[name].values[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes after checkpoint end at byte {off}")
     return model

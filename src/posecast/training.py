@@ -23,6 +23,7 @@ __all__ = [
     "mpjpe_loss",
     "mpjpe_value",
     "train",
+    "check_horizons",
     "evaluate",
     "zero_velocity_baseline",
     "baseline_report",
@@ -44,7 +45,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        decays = tuple(self.lr_decay_epochs)
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("lr_initial", "lr_decay_factor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.clip_norm is not None:
+            object.__setattr__(self, "clip_norm", float(self.clip_norm))
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        decays = tuple(int(e) for e in self.lr_decay_epochs)
         if list(decays) != sorted(set(decays)):
             raise ValueError(f"decay epochs must be strictly increasing: {decays}")
         if any(e >= self.epochs for e in decays) and self.epochs > 0:
@@ -159,16 +168,20 @@ def _predictions(model, windows, batch_size=256):
     return np.concatenate(preds)
 
 
+def check_horizons(horizons, k):
+    """Reject horizons outside the 1-based range of K predicted frames."""
+    for h in horizons:
+        if not 1 <= h <= k:
+            raise ValueError(f"horizon {h} outside prediction range [1, {k}]")
+
+
 def evaluate(model, windows, horizons):
     """Per-horizon error at the single target frame, averaged over windows.
 
     Horizons are 1-based frame offsets into the prediction (horizon h is
     predicted frame h).
     """
-    k = windows.targets.shape[1]
-    for h in horizons:
-        if not 1 <= h <= k:
-            raise ValueError(f"horizon {h} outside prediction range [1, {k}]")
+    check_horizons(horizons, windows.targets.shape[1])
     preds = _predictions(model, windows)
     report = {}
     for h in horizons:

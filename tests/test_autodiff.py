@@ -35,7 +35,7 @@ def test_matmul_gradient_is_ones_times_b_transpose():
 
 
 def test_elementwise_add():
-    out = ad.elementwise(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]), "add")
+    out = ad.add(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
     assert np.array_equal(out.values, [4.0, 6.0])
 
 
@@ -56,11 +56,6 @@ def test_sub_self_is_zero():
 def test_elementwise_shape_error():
     with pytest.raises(ad.DimensionError):
         ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
-
-
-def test_elementwise_unknown_kind():
-    with pytest.raises(ValueError, match="div"):
-        ad.elementwise(ad.constant(1.0), ad.constant(1.0), "div")
 
 
 def test_activation_zero_and_saturation():

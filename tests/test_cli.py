@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 import yaml
 
 from posecast import cli, gradcheck
-from posecast.data import save_sequences, synth_kinematic
-from posecast.model import load_checkpoint
+from posecast.data import save_sequences, skeleton_preset, synth_kinematic
+from posecast.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from posecast.graphs import read_operator
 
 
@@ -158,6 +159,75 @@ def test_sweep_command(run_config, tmp_path, capsys):
     for span in (0, 1):
         for hop in (0, 1):
             assert (tmp_path / "run" / f"L{span}D{hop}" / "checkpoint.pckp").exists()
+
+
+@pytest.fixture
+def bad_inputs(run_config, tmp_path):
+    """Malformed files next to a valid untrained checkpoint for the fixture config."""
+    path, config = run_config
+    ckpt = tmp_path / "model.pckp"
+    model_config = ModelConfig(**config["model"])
+    save_checkpoint(ckpt, build_model(skeleton_preset("chain_4"), model_config))
+    blob = ckpt.read_bytes()
+    (tmp_path / "truncated.pckp").write_bytes(blob[:-9])
+    (tmp_path / "padded.pckp").write_bytes(blob + b"junk")
+    (tmp_path / "bad.mgps").write_bytes(b"XXXX" + bytes(40))
+    save_sequences(tmp_path / "wide.mgps", [synth_kinematic(5, frames=30, period=6)])
+
+    def train_with(section, **fields):
+        cfg = copy.deepcopy(config)
+        (cfg[section] if section else cfg).update(fields)
+        path.write_text(yaml.safe_dump(cfg))
+        return ["train", str(path)]
+
+    inputs = {name: str(tmp_path / name)
+              for name in ("model.pckp", "truncated.pckp", "padded.pckp",
+                           "bad.mgps", "wide.mgps", "nope.mgps")}
+    inputs["poses.mgps"] = config["dataset"]
+    inputs["train_with"] = train_with
+    return inputs
+
+
+def _eval(ckpt, dataset, horizons="1,3"):
+    return lambda f: ["eval", f[ckpt], f[dataset], "--horizons", horizons]
+
+
+def _predict(dataset):
+    return lambda f: ["predict", f["model.pckp"], f[dataset], f["nope.mgps"]]
+
+
+def _train(section=None, **fields):
+    return lambda f: f["train_with"](section, **fields)
+
+
+# name -> (argv builder, fragment the one stderr line must contain)
+MALFORMED = {
+    "eval_bad_magic": (_eval("model.pckp", "bad.mgps"), "bad magic"),
+    "predict_bad_magic": (_predict("bad.mgps"), "bad magic"),
+    "train_bad_magic": (lambda f: f["train_with"](None, dataset=f["bad.mgps"]), "bad magic"),
+    "eval_missing_dataset": (_eval("model.pckp", "nope.mgps"), "nope.mgps"),
+    "predict_joint_mismatch": (_predict("wide.mgps"), "V=4"),
+    "eval_horizons_not_int": (_eval("model.pckp", "poses.mgps", "a"), "--horizons"),
+    "train_horizon_beyond_k": (_train(horizons=[1, 9]), "horizon 9"),
+    "train_unknown_skeleton": (_train(skeleton="octopus"), "octopus"),
+    "train_unknown_model_key": (_train("model", max_hops=2), "max_hops"),
+    "train_refine_string": (_train("model", refine="false"), "refine"),
+    "train_batch_size_0": (_train("train", batch_size=0), "batch_size"),
+    "train_bad_value_schedule": (_train("model", value_schedule=[4, 3]), "(4, 3)"),
+    "eval_truncated_checkpoint": (_eval("truncated.pckp", "poses.mgps"),
+                                  "truncated checkpoint at byte"),
+    "eval_checkpoint_trailing_bytes": (_eval("padded.pckp", "poses.mgps"),
+                                       "4 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_with_one_line(argv, fragment, bad_inputs, capsys):
+    assert cli.main(argv(bad_inputs)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert fragment in err
+    assert len(err.splitlines()) == 1
 
 
 class TestGradcheckCommand:

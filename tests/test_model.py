@@ -132,6 +132,11 @@ class TestForward:
         with pytest.raises(ValueError):
             tiny_config(anchor_count=7)   # > input_frames
 
+    def test_refine_must_be_bool(self):
+        # A YAML string such as "false" is truthy; it must not mean True.
+        with pytest.raises(ValueError, match="refine"):
+            tiny_config(refine="false")
+
 
 class TestParameterCount:
     def test_single_layer_identity_case(self):
@@ -181,6 +186,18 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.pckp", model)
         save_checkpoint(tmp_path / "b.pckp", model)
         assert (tmp_path / "a.pckp").read_bytes() == (tmp_path / "b.pckp").read_bytes()
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), tiny_config()))
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match=r"truncated checkpoint at byte \d+"):
+                load_checkpoint(path)
+        path.write_bytes(blob + b"junk")
+        with pytest.raises(ValueError, match=f"4 trailing bytes .* at byte {len(blob)}"):
+            load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pckp"

@@ -135,6 +135,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(epochs=10, lr_decay_epochs=(12,))
 
+    def test_batch_size_validated(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
+
+    def test_fields_coerced(self):
+        # YAML reads 1e-2 as a string; library and CLI callers get a float.
+        config = TrainConfig(epochs="4", lr_initial="1e-2", lr_decay_epochs=[2])
+        assert (config.epochs, config.lr_initial, config.lr_decay_epochs) == (4, 0.01, (2,))
+
 
 class TestEvaluate:
     def test_copy_model_on_constant_data_is_exact(self):
