@@ -4,12 +4,19 @@ Tensors wrap float64 numpy arrays. Every differentiable operation records
 its inputs and a backward closure; ``backward()`` on a scalar root walks
 the recorded graph once in reverse topological order and accumulates
 gradients into tensors created with ``requires_grad=True``. Constants
-never receive gradients.
+never receive gradients, and no closure computes a gradient for an input
+that cannot pass one on.
+
+The walk releases the graph as it goes, so a graph is walked once; a
+second ``backward()`` through it raises ``GraphReleasedError``. Inside
+``with no_grad():`` operations record nothing at all.
 
 Broadcasting is supported over leading batch dimensions only.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +25,8 @@ __all__ = [
     "DimensionError",
     "DegenerateMaskError",
     "UninitializedGradientError",
+    "GraphReleasedError",
+    "no_grad",
     "parameter",
     "constant",
     "matmul",
@@ -46,6 +55,36 @@ class DegenerateMaskError(ValueError):
 
 class UninitializedGradientError(RuntimeError):
     """Raised when an optimizer step finds a parameter without a gradient."""
+
+
+class GraphReleasedError(RuntimeError):
+    """Raised when backward() reaches a node an earlier backward() released."""
+
+
+def _released(grad):
+    raise GraphReleasedError(
+        "backward() through a graph that an earlier backward() already released; "
+        "build the graph again to take another gradient"
+    )
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run operations without recording a graph.
+
+    Results are plain tensors: no inputs, no backward closure. Blocks
+    nest, and the previous state comes back on exit, also when the block
+    raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -88,16 +127,25 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def backward(self):
-        """Backpropagate from this tensor, which must be scalar."""
+        """Backpropagate from this tensor, which must be scalar.
+
+        Each non-leaf node is released once its closure has run: its
+        closure, inputs and gradient are dropped, so the graph's memory is
+        returned during the walk. Leaves keep their gradients. Calling
+        backward() again on a released graph raises GraphReleasedError.
+        """
         if self.values.size != 1:
             raise DimensionError(
                 f"backward() requires a scalar root, got shape {self.values.shape}"
             )
         order = _toposort(self)
         self.grad = np.ones_like(self.values)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._backward, node._inputs, node.grad = _released, (), None
 
     def zero_grad(self):
         self.grad = None
@@ -145,12 +193,17 @@ def _toposort(root):
     return order
 
 
-def _accumulate(tensor, grad):
-    if not (tensor.requires_grad or tensor._backward is not None):
-        return
+def _accumulate(tensor, grad, fresh):
+    """Add ``grad`` into ``tensor.grad``.
+
+    ``fresh`` says the calling closure allocated ``grad`` itself, so no
+    other tensor can hold it and the first gradient may keep it. Anything
+    else (the incoming gradient, or a view of it) is copied first.
+    """
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.values)
-    tensor.grad += grad
+        tensor.grad = grad if fresh else grad.copy()
+    else:
+        tensor.grad += grad
 
 
 def _unbroadcast(grad, shape):
@@ -164,8 +217,13 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _live(t):
+    """Whether a gradient into ``t`` is read: a parameter or a graph node."""
+    return t.requires_grad or t._backward is not None
+
+
 def _needs_graph(*tensors):
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    return _grad_enabled and any(_live(t) for t in tensors)
 
 
 def matmul(a, b):
@@ -181,10 +239,15 @@ def matmul(a, b):
     out_values = a.values @ b.values
     if not _needs_graph(a, b):
         return Tensor(out_values)
+    a_live, b_live = _live(a), _live(b)
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad @ np.swapaxes(b.values, -1, -2), a.values.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ grad, b.values.shape))
+        if a_live:
+            g = grad @ np.swapaxes(b.values, -1, -2)
+            _accumulate(a, _unbroadcast(g, a.values.shape), True)
+        if b_live:
+            g = np.swapaxes(a.values, -1, -2) @ grad
+            _accumulate(b, _unbroadcast(g, b.values.shape), True)
 
     return Tensor(out_values, _inputs=(a, b), _backward=backward)
 
@@ -198,10 +261,17 @@ def _elementwise(a, b, forward, back_a, back_b):
         ) from exc
     if not _needs_graph(a, b):
         return Tensor(out_values)
+    a_live, b_live = _live(a), _live(b)
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(back_a(grad), a.values.shape))
-        _accumulate(b, _unbroadcast(back_b(grad), b.values.shape))
+        # add and sub hand ``grad`` itself to an operand; only a new array
+        # may be kept without a copy.
+        if a_live:
+            g = back_a(grad)
+            _accumulate(a, _unbroadcast(g, a.values.shape), g is not grad)
+        if b_live:
+            g = back_b(grad)
+            _accumulate(b, _unbroadcast(g, b.values.shape), g is not grad)
 
     return Tensor(out_values, _inputs=(a, b), _backward=backward)
 
@@ -226,7 +296,7 @@ def tanh(a):
         return Tensor(out_values)
 
     def backward(grad):
-        _accumulate(a, grad * (1.0 - out_values * out_values))
+        _accumulate(a, grad * (1.0 - out_values * out_values), True)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
@@ -240,7 +310,7 @@ def sqrt(a):
     def backward(grad):
         # Subgradient 0 at exactly zero (norm of a zero vector).
         safe = np.where(out_values > 0.0, out_values, 1.0)
-        _accumulate(a, np.where(out_values > 0.0, grad * 0.5 / safe, 0.0))
+        _accumulate(a, np.where(out_values > 0.0, grad * 0.5 / safe, 0.0), True)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
@@ -270,7 +340,7 @@ def masked_softmax(scores, mask, axis):
 
     def backward(grad):
         inner = (grad * out_values).sum(axis=axis, keepdims=True)
-        _accumulate(scores, out_values * (grad - inner))
+        _accumulate(scores, out_values * (grad - inner), True)
 
     return Tensor(out_values, _inputs=(scores,), _backward=backward)
 
@@ -283,7 +353,7 @@ def tensor_sum(a, axis=None, keepdims=False):
     def backward(grad):
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
-        _accumulate(a, np.broadcast_to(grad, a.values.shape).copy())
+        _accumulate(a, np.broadcast_to(grad, a.values.shape), False)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
@@ -296,7 +366,7 @@ def cumsum(a, axis):
     def backward(grad):
         # Adjoint of prefix sum is a reversed prefix sum.
         flipped = np.flip(grad, axis=axis)
-        _accumulate(a, np.flip(np.cumsum(flipped, axis=axis), axis=axis))
+        _accumulate(a, np.flip(np.cumsum(flipped, axis=axis), axis=axis), True)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
@@ -307,7 +377,7 @@ def reshape(a, shape):
         return Tensor(out_values)
 
     def backward(grad):
-        _accumulate(a, grad.reshape(a.values.shape))
+        _accumulate(a, grad.reshape(a.values.shape), False)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
@@ -320,7 +390,7 @@ def transpose(a, axes):
     inverse = np.argsort(axes)
 
     def backward(grad):
-        _accumulate(a, np.transpose(grad, inverse))
+        _accumulate(a, np.transpose(grad, inverse), False)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 

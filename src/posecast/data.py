@@ -142,7 +142,11 @@ def load_sequences(path):
 
 
 def load_csv(path, rate=25.0, label=""):
-    """Read a frame,joint,x,y,z table into a single PoseSequence."""
+    """Read a frame,joint,x,y,z table into a single PoseSequence.
+
+    Every (frame, joint) pair from (0, 0) up to the largest frame and joint
+    index must appear exactly once.
+    """
     rows = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -154,13 +158,26 @@ def load_csv(path, rate=25.0, label=""):
         for lineno, row in enumerate(reader, start=2):
             try:
                 key = (int(row["frame"]), int(row["joint"]))
-                rows[key] = (float(row["x"]), float(row["y"]), float(row["z"]))
+                xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
             except (TypeError, ValueError) as exc:
                 raise PoseFormatError(f"bad CSV record at line {lineno}: {exc}") from exc
+            if min(key) < 0:
+                raise PoseFormatError(f"negative frame or joint index at line {lineno}")
+            if key in rows:
+                raise PoseFormatError(
+                    f"second row for frame {key[0]}, joint {key[1]} at line {lineno}"
+                )
+            rows[key] = xyz
     if not rows:
         return PoseSequence(frames=np.zeros((0, 1, 3)), rate=rate, label=label)
     n_frames = max(f for f, _ in rows) + 1
     v = max(j for _, j in rows) + 1
+    if len(rows) < n_frames * v:
+        f_idx, j_idx = next(key for key in np.ndindex(n_frames, v) if key not in rows)
+        raise PoseFormatError(
+            f"CSV has no row for frame {f_idx}, joint {j_idx} "
+            f"({n_frames} frames x {v} joints expected)"
+        )
     frames = np.zeros((n_frames, v, 3))
     for (f_idx, j_idx), xyz in rows.items():
         frames[f_idx, j_idx] = xyz

@@ -171,8 +171,9 @@ class ForecastModel:
         return v_out                  # strategy "none"
 
     def predict(self, x):
-        """Convenience wrapper returning plain arrays, no graph kept."""
-        return self.forward(x).predictions.values
+        """Forward pass without recording a graph; returns plain arrays."""
+        with ad.no_grad():
+            return self.forward(x).predictions.values
 
 
 def build_model(skeleton, config):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
+from .model import _named_parameters
 
 __all__ = [
     "TrainConfig",
@@ -145,7 +146,8 @@ def train(model, windows, config):
             loss = mpjpe_loss(out.predictions, windows.targets[idx])
             value = loss.item()
             if not np.isfinite(value):
-                norms = [float(np.linalg.norm(p.values)) for p in params]
+                norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
+                                  for name, p in _named_parameters(model))
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"

@@ -183,3 +183,80 @@ def test_broadcast_matmul_gradients():
         lambda: ad.tensor_sum(ad.mul(m := ad.matmul(a, h), m)), [a, h]
     )
     assert err < 1e-6
+
+
+ALL_OPS = [
+    lambda a: ad.matmul(a, a),
+    lambda a: ad.add(a, a),
+    lambda a: ad.sub(a, a),
+    lambda a: ad.mul(a, a),
+    ad.tanh,
+    ad.sqrt,
+    lambda a: ad.masked_softmax(a, np.ones((2, 2), dtype=bool), axis=-1),
+    ad.tensor_sum,
+    lambda a: ad.cumsum(a, axis=0),
+    lambda a: ad.reshape(a, (4,)),
+    lambda a: ad.transpose(a, (1, 0)),
+]
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("op", ALL_OPS)
+    def test_ops_record_no_graph(self, op):
+        a = ad.parameter(np.arange(1.0, 5.0).reshape(2, 2))
+        with ad.no_grad():
+            out = op(a)
+        assert out._backward is None and out._inputs == ()
+        assert np.array_equal(out.values, op(a).values)
+
+    def test_nested_blocks_restore_recording(self):
+        w = ad.parameter([1.0, 2.0])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.mul(w, w)._backward is None
+        assert ad.mul(w, w)._backward is not None
+
+    def test_state_restored_when_block_raises(self):
+        w = ad.parameter([1.0, 2.0, 3.0])
+        with pytest.raises(ad.DimensionError):
+            with ad.no_grad():
+                ad.add(w, ad.constant(np.ones(4)))
+        assert ad.mul(w, w)._backward is not None
+
+
+class TestGraphRelease:
+    def test_second_backward_raises(self):
+        w = ad.parameter([1.0, 2.0])
+        loss = ad.tensor_sum(ad.mul(w, w))
+        loss.backward()
+        with pytest.raises(ad.GraphReleasedError):
+            loss.backward()
+        assert np.array_equal(w.grad, [2.0, 4.0])
+
+    def test_backward_through_a_released_node_raises(self):
+        w = ad.parameter([1.0, 2.0])
+        s = ad.mul(w, w)
+        ad.tensor_sum(s).backward()
+        assert s._inputs == () and s.grad is None
+        with pytest.raises(ad.GraphReleasedError):
+            ad.tensor_sum(ad.add(s, w)).backward()
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_operands_never_share_a_gradient_array(self, add_first):
+        # add hands one incoming gradient to both operands. Whichever order
+        # the walk takes, a later += into s.grad must leave t.grad alone.
+        s = ad.parameter([1.0, 2.0])
+        t = ad.parameter([3.0, 4.0])
+        both = ad.add(s, t)
+        scaled = ad.mul(s, ad.constant([5.0, 7.0]))
+        pair = (scaled, both) if add_first else (both, scaled)
+        ad.tensor_sum(ad.add(*pair)).backward()
+        assert np.array_equal(s.grad, [6.0, 8.0])
+        assert np.array_equal(t.grad, [1.0, 1.0])
+
+    def test_node_added_to_itself(self):
+        w = ad.parameter([1.0, 2.0])
+        s = ad.mul(w, ad.constant([3.0, 3.0]))
+        ad.tensor_sum(ad.add(ad.add(s, s), w)).backward()
+        assert np.array_equal(w.grad, [7.0, 7.0])

@@ -90,6 +90,30 @@ class TestCsvImport:
         with pytest.raises(PoseFormatError, match="header"):
             load_csv(path)
 
+    @pytest.mark.parametrize("dropped, fragment", [
+        (2, "frame 0, joint 1"),
+        (3, "frame 1, joint 0"),
+        (4, "frame 1, joint 1"),
+    ])
+    def test_missing_row_named(self, tmp_path, dropped, fragment):
+        lines = ["frame,joint,x,y,z", "0,0,1,2,3", "0,1,4,5,6", "1,0,7,8,9",
+                 "1,1,10,11,12", "2,1,13,14,15", "2,0,16,17,18"]
+        del lines[dropped]
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PoseFormatError, match=fragment):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row, fragment", [
+        ("-1,0,1,2,3", "negative"),
+        ("0,0,1,2,3", "second row for frame 0, joint 0 at line 3"),
+    ])
+    def test_negative_or_repeated_row_rejected(self, tmp_path, row, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frame,joint,x,y,z\n0,0,1,2,3\n{row}\n")
+        with pytest.raises(PoseFormatError, match=fragment):
+            load_csv(path)
+
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,joint,x,y,z\n0,0,one,2,3\n")

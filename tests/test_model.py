@@ -11,6 +11,7 @@ from posecast.model import (
     save_checkpoint,
     temporal_align,
 )
+from posecast.training import mpjpe_loss
 
 
 def tiny_config(**overrides):
@@ -224,3 +225,56 @@ def test_refine_starts_as_identity():
     with_refine = build_model(skeleton, tiny_config(refine=True)).predict(x)
     without = build_model(skeleton, tiny_config(refine=False)).predict(x)
     assert np.allclose(with_refine, without, atol=1e-15)
+
+
+class TestGradientFlow:
+    def setup_method(self):
+        self.model = build_model(skeleton_preset("chain_4"),
+                                 tiny_config(strategy="anchor", refine=True))
+        rng = np.random.default_rng(11)
+        self.x = rng.normal(size=(2, 3, 4, 3))
+        self.y = rng.normal(size=(2, 2, 4, 3))
+
+    def loss(self):
+        return mpjpe_loss(self.model.forward(self.x).predictions, self.y)
+
+    def parameter_grads(self):
+        params = self.model.parameters()
+        for p in params:
+            p.zero_grad()
+        self.loss().backward()
+        return [p.grad.tobytes() for p in params]
+
+    def test_predict_matches_forward_bitwise(self):
+        out = self.model.forward(self.x).predictions.values
+        assert self.model.predict(self.x).tobytes() == out.tobytes()
+
+    def test_input_liveness_leaves_parameter_grads_bit_identical(self, monkeypatch):
+        # A constant input skips the input-side gradient of every first
+        # layer matmul; a parameter input computes it. Neither may change
+        # a parameter gradient.
+        as_constant = self.parameter_grads()
+        inputs = []
+        real_constant = ad.constant
+
+        def input_as_parameter(values):
+            if values is not self.x:
+                return real_constant(values)
+            inputs.append(ad.parameter(values))
+            return inputs[-1]
+
+        monkeypatch.setattr(ad, "constant", input_as_parameter)
+        as_parameter = self.parameter_grads()
+        assert as_parameter == as_constant
+        assert len(inputs) == 1 and inputs[0].grad.shape == self.x.shape
+        assert np.abs(inputs[0].grad).max() > 0.0
+
+    def test_backward_releases_graph_and_keeps_parameter_grads(self):
+        loss = self.loss()
+        nodes = [n for n in ad._toposort(loss) if n._backward is not None]
+        assert len(nodes) > 20
+        loss.backward()
+        for node in nodes:
+            assert node.grad is None and node._inputs == ()
+        for p in self.model.parameters():
+            assert p.grad is not None and p.grad.shape == p.shape

@@ -119,6 +119,15 @@ class TestTrainLoop:
         with pytest.raises(NumericalError, match="epoch 0"):
             train(model, tiny_windows(), TrainConfig(epochs=1, lr_decay_epochs=()))
 
+    def test_nonfinite_loss_names_parameter_blocks(self):
+        model = tiny_model()
+        model.tcn.values[0, 0] = np.nan
+        with pytest.raises(NumericalError) as info:
+            train(model, tiny_windows(), TrainConfig(epochs=1, lr_decay_epochs=()))
+        message = str(info.value)
+        assert "tcn=nan" in message
+        assert "v_tower.0=" in message and "refine_tower.0=" in message
+
     def test_overfit_small_batch(self):
         model = tiny_model(seed=5)
         windows = tiny_windows(seed=5)
