@@ -77,14 +77,14 @@ def causal_mask(frames, anchors):
     return k <= i
 
 
-def score_matrix(q, key, config, anchor_frames=None, causal=True):
+def score_matrix(q, key, config, anchor_count=None, causal=True):
     """Per-dimension mixing weights from query/key towers.
 
     q, key: [batch, T, V, 3]. Scores contract over joints separately for
     each spatial dimension; a masked softmax over the anchor axis yields
     three row-stochastic T x n_a matrices per batch element.
 
-    anchor_frames selects which key frames serve as anchors (default: all).
+    The last anchor_count key frames serve as anchors (default: all).
     Causal masking only applies when anchors are in one-to-one frame
     correspondence (n_a == T).
     """
@@ -93,7 +93,7 @@ def score_matrix(q, key, config, anchor_frames=None, causal=True):
     b, t, v, _ = q.shape
     scale = config.scale if config.scale is not None else float(np.sqrt(v))
 
-    kv = key if anchor_frames is None else _take_frames(key, anchor_frames)
+    kv = key if anchor_count is None else ad.tail(key, t - anchor_count)
     n_a = kv.shape[1]
 
     # [B, T, V, 3] -> [B, 3, T, V], keys transposed to [B, 3, V, n_a].
@@ -108,16 +108,6 @@ def score_matrix(q, key, config, anchor_frames=None, causal=True):
     full_mask = np.broadcast_to(mask, (b, 3, t, n_a))
     weights = ad.masked_softmax(scores, full_mask, axis=-1)
     return MixMatrix(weights=weights, mask=mask)
-
-
-def _take_frames(tensor, frames):
-    """Differentiable selection of frames along axis 1 via a 0/1 matrix."""
-    t = tensor.shape[1]
-    sel = np.zeros((len(frames), t))
-    sel[np.arange(len(frames)), frames] = 1.0
-    moved = ad.transpose(tensor, (0, 2, 3, 1))        # [B, V, 3, T]
-    picked = ad.matmul(moved, ad.constant(sel.T))     # [B, V, 3, n_a]
-    return ad.transpose(picked, (0, 3, 1, 2))
 
 
 def anchor_combination(mix, anchors):

@@ -40,6 +40,8 @@ __all__ = [
     "cumsum",
     "reshape",
     "transpose",
+    "tail",
+    "graph_conv",
     "AdamState",
     "adam_step",
 ]
@@ -393,6 +395,115 @@ def transpose(a, axes):
         _accumulate(a, np.transpose(grad, inverse), False)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
+
+
+def tail(a, start):
+    """Entries ``start`` onward along axis 1: ``a[:, start:]``."""
+    out_values = a.values[:, start:]
+    if not _needs_graph(a):
+        return Tensor(out_values)
+
+    def backward(grad):
+        g = np.zeros_like(a.values)
+        g[:, start:] = grad
+        _accumulate(a, g, True)
+
+    return Tensor(out_values, _inputs=(a,), _backward=backward)
+
+
+def _stack_hops(hops):
+    """[D+1, V, V] -> [V*(D+1), V] with row v*(D+1) + k equal to hops[k][v]."""
+    return np.transpose(hops, (1, 0, 2)).reshape(-1, hops.shape[-1])
+
+
+def _apply_band(band, x):
+    """band acting on the frame axis of x: [B, T, V, C]."""
+    b, t, v, c = x.shape
+    return (band @ x.reshape(b, t, v * c)).reshape(b, t, v, c)
+
+
+def graph_conv(h, weights, band, hops):
+    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k].
+
+    h: [..., T*V, C_in] with node (frame t, joint v) at row t * V + v;
+    weights: D+1 tensors [C_in, C_out]; band: [T, T]; hops: [D+1, V, V].
+    The (VT)^2 operators are never formed: the band acts on the frame
+    axis and each hop on the joint axis.
+
+    Hops act on the narrower channel side: on h when C_in < C_out (all
+    stacked into one matrix if (D+1) * C_in <= C_out, else one at a
+    time), otherwise on each product h @ W_k. Terms are summed in place
+    and dropped once added, which keeps inference memory low; the band
+    is applied once, to the sum. Backward applies the transposed band,
+    then all hops stacked, so each gradient takes one weight product.
+    """
+    t, v = band.shape[0], hops.shape[-1]
+    k_count = len(weights)
+    if h.values.ndim < 2:
+        raise DimensionError(f"graph_conv needs a >=2-d input, got {h.shape}")
+    lead, (n, c_in) = h.values.shape[:-2], h.values.shape[-2:]
+    if band.shape != (t, t) or hops.shape != (k_count, v, v):
+        raise DimensionError(
+            f"graph_conv needs a square band and {k_count} [V, V] hops, "
+            f"got {band.shape} and {hops.shape}"
+        )
+    if n != t * v:
+        raise DimensionError(f"graph has {t * v} nodes, input has {n}")
+    w = np.stack([w_k.values for w_k in weights])
+    if w.shape[1] != c_in:
+        raise DimensionError(f"weights expect {w.shape[1]} channels, input has {c_in}")
+    c_out = w.shape[2]
+    x = h.values.reshape(-1, t, v, c_in)
+    b = x.shape[0]
+    hops_first = c_in < c_out
+    group = k_count if hops_first and k_count * c_in <= c_out else 1
+
+    def term(k):
+        if hops_first:
+            ks = slice(k, k + group)
+            z = (_stack_hops(hops[ks]) @ x).reshape(b * n, group * c_in)
+            return z @ w[ks].reshape(group * c_in, c_out)
+        p = (x.reshape(b * n, c_in) @ w[k]).reshape(b, t, v, c_out)
+        return (hops[k] @ p).reshape(b * n, c_out)
+
+    # No name holds a finished term, so it is freed before the next one
+    # is computed; eval's peak RSS depends on it.
+    s = term(0)
+    for k in range(group, k_count, group):
+        s += term(k)
+    out_values = _apply_band(band, s.reshape(b, t, v, c_out)).reshape(*lead, n, c_out)
+    if not _needs_graph(h, *weights):
+        return Tensor(out_values)
+    h_live = _live(h)
+    w_live = any(_live(w_k) for w_k in weights)
+
+    def backward(grad):
+        g = _apply_band(band.T, grad.reshape(b, t, v, c_out))
+        if hops_first:
+            # z: all hops applied to x, [B*T*V, (D+1) * C_in].
+            g = g.reshape(b * n, c_out)
+            if w_live:
+                z = (_stack_hops(hops) @ x).reshape(b * n, k_count * c_in)
+                dw = (z.T @ g).reshape(k_count, c_in, c_out)
+            if h_live:
+                dz = g @ w.reshape(k_count * c_in, c_out).T
+                dx = _stack_hops(hops).T @ dz.reshape(b, t, v * k_count, c_in)
+        else:
+            # dp: all transposed hops applied to g, [B*T*V, (D+1) * C_out].
+            dp = (_stack_hops(np.swapaxes(hops, 1, 2)) @ g).reshape(b * n, k_count * c_out)
+            if w_live:
+                dw = (x.reshape(b * n, c_in).T @ dp).reshape(c_in, k_count, c_out)
+                dw = dw.transpose(1, 0, 2)
+            if h_live:
+                dx = dp @ w.transpose(0, 2, 1).reshape(k_count * c_out, c_in)
+        if h_live:
+            _accumulate(h, dx.reshape(h.values.shape), True)
+        if w_live:
+            for w_k, dw_k in zip(weights, dw):
+                if _live(w_k):
+                    _accumulate(w_k, dw_k, False)
+
+    return Tensor(out_values, _inputs=(h, *weights), _backward=backward)
 
 
 class AdamState:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import skeleton_preset, synth_kinematic, make_windows
+from .graphs import build_hop_partition, build_multigraph
 from .model import ModelConfig, build_model
 from .training import mpjpe_loss
 
@@ -124,6 +125,32 @@ def _check_sqrt():
     return check_gradients(lambda: ad.tensor_sum(ad.sqrt(a)), [a])
 
 
+def _check_graph_conv():
+    # chain_4 with D=3: only the end joints have a 3-hop neighbour, so
+    # hops[3] has zero rows. span >= T fills every band entry.
+    rng = _rng()
+    partition = build_hop_partition(skeleton_preset("chain_4"), max_hop=3)
+    graph = build_multigraph(partition, frame_count=2, span=2)
+    worst = 0.0
+    for c_in, c_out in ((3, 4), (4, 3)):
+        h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
+        weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
+        err = check_gradients(
+            lambda: ad.tensor_sum(ad.mul(
+                o := ad.graph_conv(h, weights, graph.band, graph.hops), o)),
+            [h, *weights],
+        )
+        worst = max(worst, err)
+    return worst
+
+
+def _check_tail():
+    rng = _rng()
+    a = ad.parameter(rng.normal(size=(2, 5, 3)))
+    w = ad.constant(rng.normal(size=(2, 3, 3)))
+    return check_gradients(lambda: ad.tensor_sum(ad.mul(ad.tail(a, 2), w)), [a])
+
+
 def _check_end_to_end():
     skeleton = skeleton_preset("chain_4")
     config = ModelConfig(
@@ -157,6 +184,8 @@ OP_CHECKS = [
     ("masked_softmax", _check_masked_softmax),
     ("cumsum", _check_cumsum),
     ("sqrt", _check_sqrt),
+    ("graph_conv", _check_graph_conv),
+    ("tail", _check_tail),
     ("end_to_end_model", _check_end_to_end),
 ]
 

@@ -7,6 +7,12 @@ block (t1, t2) of layer k is the single-frame layer whenever
 |t1 - t2| <= span, and zero beyond. Each assembled operator is
 symmetrically degree-normalized.
 
+An assembled operator is kron(band, layer_k) with one T x T band shared
+by every hop, and since the degree of node (t, v) is the product of the
+band and layer degrees, its normalization is kron(normalize(band),
+normalize(layer_k)). A PartitionedMultiGraph therefore stores only the
+two normalized factors; the (VT)^2 operators are built on request.
+
 Node (frame t, joint v) maps to flat index t * V + v.
 """
 
@@ -84,18 +90,41 @@ class HopPartition:
 
 @dataclass(frozen=True)
 class PartitionedMultiGraph:
-    """Normalized convolution operators over all V*T joint-frame nodes."""
+    """Hop operators over all V*T joint-frame nodes, kept as factors.
 
+    Normalized operator k is kron(band, hops[k]): ``band`` is the
+    normalized T x T frame band, ``hops`` the normalized hop layers,
+    shape [D+1, V, V].
+    """
+
+    partition: HopPartition
     frame_count: int
     span: int
-    max_hop: int
-    joint_count: int
-    operators: tuple
-    raw_operators: tuple = field(repr=False, default=())
+    band: np.ndarray = field(repr=False)
+    hops: np.ndarray = field(repr=False)
+
+    @property
+    def max_hop(self):
+        return self.partition.max_hop
+
+    @property
+    def joint_count(self):
+        return self.partition.joint_count
 
     @property
     def node_count(self):
         return self.frame_count * self.joint_count
+
+    @property
+    def operators(self):
+        """The dense normalized (VT)^2 operators, built on each access."""
+        return tuple(np.kron(self.band, h) for h in self.hops)
+
+    @property
+    def raw_operators(self):
+        """The dense operators before normalization, built on each access."""
+        band = _frame_band(self.frame_count, self.span)
+        return tuple(np.kron(band, g_k) for g_k in self.partition.layers)
 
 
 def hop_distances(graph):
@@ -130,28 +159,30 @@ def build_hop_partition(graph, max_hop):
     return HopPartition(max_hop=max_hop, layers=layers)
 
 
-def build_multigraph(partition, frame_count, span):
-    """Assemble and normalize the per-hop operators over frame_count frames.
+def _frame_band(frame_count, span):
+    """The 0/1 band B[t1, t2] = 1 iff |t1 - t2| <= span."""
+    t = np.arange(frame_count)
+    return (np.abs(t[:, None] - t[None, :]) <= span).astype(np.float64)
 
-    Pre-normalization, layer k is kron(B, g_k) with B the 0/1 band matrix
-    B[t1, t2] = 1 iff |t1 - t2| <= span: for k = 0 this yields same-joint
-    edges across frames (plus self-loops on the diagonal blocks), for
-    k >= 1 natural-link edges both within and across frames.
+
+def build_multigraph(partition, frame_count, span):
+    """Normalize the band and hop factors of the operators over frame_count frames.
+
+    Pre-normalization, operator k is kron(B, g_k) with B the frame band:
+    for k = 0 this yields same-joint edges across frames (plus self-loops
+    on the diagonal blocks), for k >= 1 natural-link edges both within
+    and across frames.
     """
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
     if span < 0:
         raise ValueError(f"span must be >= 0, got {span}")
-    t = np.arange(frame_count)
-    band = (np.abs(t[:, None] - t[None, :]) <= span).astype(np.float64)
-    raw = tuple(np.kron(band, g_k) for g_k in partition.layers)
     return PartitionedMultiGraph(
+        partition=partition,
         frame_count=frame_count,
         span=span,
-        max_hop=partition.max_hop,
-        joint_count=partition.joint_count,
-        operators=tuple(normalize(a) for a in raw),
-        raw_operators=raw,
+        band=normalize(_frame_band(frame_count, span)),
+        hops=np.stack([normalize(g_k) for g_k in partition.layers]),
     )
 
 
@@ -203,9 +234,9 @@ def dump_multigraph(multigraph, out_dir):
         multigraph.span,
         multigraph.max_hop,
     )
-    for k in range(multigraph.max_hop + 1):
-        for tag, matrix in (("pre", multigraph.raw_operators[k]),
-                            ("post", multigraph.operators[k])):
+    pairs = zip(multigraph.raw_operators, multigraph.operators)
+    for k, (raw, normalized) in enumerate(pairs):
+        for tag, matrix in (("pre", raw), ("post", normalized)):
             path = os.path.join(out_dir, f"operator_k{k}_{tag}.txt")
             write_operator(path, matrix, *meta, hop=k)
             paths.append(path)

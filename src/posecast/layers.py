@@ -2,8 +2,9 @@
 
 A layer applies H' = sigma(sum_k A_k H W_k) where A_k are the normalized
 hop operators of a PartitionedMultiGraph and each hop gets its own weight
-matrix. A tower chains layers through a channel schedule whose first and
-last widths are 3 (coordinates in, coordinates out).
+matrix; ``autodiff.graph_conv`` applies A_k = kron(band, hops[k]) in
+factored form. A tower chains layers through a channel schedule whose
+first and last widths are 3 (coordinates in, coordinates out).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DimensionError
 
 __all__ = ["GraphConvLayer", "GraphConvTower"]
 
@@ -35,23 +35,7 @@ class GraphConvLayer:
 
     def forward(self, h, graph):
         """h: [batch, V*T, C_in] -> [batch, V*T, C_out]."""
-        if h.shape[-2] != graph.node_count:
-            raise DimensionError(
-                f"layer expects {graph.node_count} nodes, input has {h.shape[-2]}"
-            )
-        if h.shape[-1] != self.in_channels:
-            raise DimensionError(
-                f"layer expects {self.in_channels} channels, input has {h.shape[-1]}"
-            )
-        if len(self.weights) != len(graph.operators):
-            raise DimensionError(
-                f"layer has {len(self.weights)} partition weights, "
-                f"graph has {len(graph.operators)} operators"
-            )
-        out = None
-        for a_k, w_k in zip(graph.operators, self.weights):
-            term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
-            out = term if out is None else ad.add(out, term)
+        out = ad.graph_conv(h, self.weights, graph.band, graph.hops)
         return ad.tanh(out) if self.apply_activation else out
 
     def parameters(self):

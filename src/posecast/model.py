@@ -155,14 +155,11 @@ class ForecastModel:
             last = ad.constant(x[:, -1])
             return attn.pseudo_autoregressive(v_out, last)
         if cfg.strategy == "anchor":
-            n_a = cfg.anchor_count if cfg.anchor_count is not None else t
-            frames = None if n_a == t else list(range(t - n_a, t))
+            n_a = cfg.anchor_count
             q = self._run_tower(self.q_tower, x_in, self.input_graph)
             key = self._run_tower(self.k_tower, x_in, self.input_graph)
-            mix = attn.score_matrix(
-                q, key, self.attention, anchor_frames=frames, causal=(n_a == t)
-            )
-            anchors = v_out if frames is None else attn._take_frames(v_out, frames)
+            mix = attn.score_matrix(q, key, self.attention, anchor_count=n_a)
+            anchors = v_out if n_a is None else ad.tail(v_out, t - n_a)
             return attn.anchor_combination(mix, anchors)
         if cfg.strategy == "plain":
             q = self._run_tower(self.q_tower, x_in, self.input_graph)

@@ -76,7 +76,7 @@ class TestScoreMatrix:
         t = 4
         mix = score_matrix(
             rand(rng, 1, t, 5, 3), rand(rng, 1, t, 5, 3),
-            AttentionConfig(anchor_count=1), anchor_frames=[t - 1], causal=False,
+            AttentionConfig(anchor_count=1), anchor_count=1, causal=False,
         )
         assert np.array_equal(mix.weights.values, np.ones((1, 3, t, 1)))
 
@@ -110,7 +110,7 @@ class TestAnchorCombination:
         mix = score_matrix(
             rand(rng, 1, t, v, 3), rand(rng, 1, t, v, 3),
             AttentionConfig(anchor_count=n_a),
-            anchor_frames=list(range(t - n_a, t)), causal=False,
+            anchor_count=n_a, causal=False,
         )
         out = anchor_combination(mix, anchors)
         for i in range(t):

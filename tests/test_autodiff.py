@@ -197,6 +197,8 @@ ALL_OPS = [
     lambda a: ad.cumsum(a, axis=0),
     lambda a: ad.reshape(a, (4,)),
     lambda a: ad.transpose(a, (1, 0)),
+    lambda a: ad.tail(a, 1),
+    lambda a: ad.graph_conv(ad.reshape(a, (1, 2, 2)), [a], np.eye(2), np.ones((1, 1, 1))),
 ]
 
 
@@ -260,3 +262,19 @@ class TestGraphRelease:
         s = ad.mul(w, ad.constant([3.0, 3.0]))
         ad.tensor_sum(ad.add(ad.add(s, s), w)).backward()
         assert np.array_equal(w.grad, [7.0, 7.0])
+
+
+class TestTail:
+    def test_forward_is_a_slice_and_backward_zero_fills(self):
+        a = ad.parameter(np.arange(12.0).reshape(2, 3, 2))
+        out = ad.tail(a, 1)
+        assert np.array_equal(out.values, a.values[:, 1:])
+        ad.tensor_sum(ad.mul(out, out)).backward()
+        expected = np.zeros((2, 3, 2))
+        expected[:, 1:] = 2.0 * a.values[:, 1:]
+        assert np.array_equal(a.grad, expected)
+
+    def test_full_tail_passes_everything(self):
+        a = ad.parameter(np.ones((1, 2, 3)))
+        ad.tensor_sum(ad.tail(a, 0)).backward()
+        assert np.array_equal(a.grad, np.ones((1, 2, 3)))

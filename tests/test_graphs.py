@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posecast.data import skeleton_preset
 from posecast.graphs import (
     ConnectivityError,
     SkeletonGraph,
@@ -146,6 +147,41 @@ class TestMultiGraph:
         v = 3
         off_block = mg.raw_operators[0][0:v, v:2 * v]
         assert np.array_equal(off_block, np.eye(v))
+
+
+def dense_operators(partition, frame_count, span):
+    """The operators assembled in full: normalize(kron(0/1 band, layer_k))."""
+    t = np.arange(frame_count)
+    band = (np.abs(t[:, None] - t[None, :]) <= span).astype(np.float64)
+    return [normalize(np.kron(band, layer)) for layer in partition.layers]
+
+
+class TestFactoredOperators:
+    @pytest.mark.parametrize("preset, max_hop, frames, span", [
+        ("chain_4", 3, 5, 1),
+        ("chain_8", 1, 10, 1),
+        ("chain_8", 3, 4, 6),
+        ("h36m22", 3, 10, 2),
+        ("h36m22", 0, 1, 0),
+    ])
+    def test_kron_of_factors_matches_dense_operators(self, preset, max_hop, frames, span):
+        p = build_hop_partition(skeleton_preset(preset), max_hop)
+        mg = build_multigraph(p, frame_count=frames, span=span)
+        assert mg.band.shape == (frames, frames)
+        assert mg.hops.shape == (max_hop + 1, p.joint_count, p.joint_count)
+        for hop, dense in zip(mg.hops, dense_operators(p, frames, span), strict=True):
+            assert np.abs(np.kron(mg.band, hop) - dense).max() <= 1e-15
+
+    def test_random_connected_graphs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            g = random_connected_graph(rng, int(rng.integers(2, 13)))
+            max_hop = int(rng.integers(0, 5))
+            frames, span = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+            p = build_hop_partition(g, max_hop)
+            mg = build_multigraph(p, frame_count=frames, span=span)
+            for op, dense in zip(mg.operators, dense_operators(p, frames, span), strict=True):
+                assert np.abs(op - dense).max() <= 1e-15
 
 
 class TestNormalize:

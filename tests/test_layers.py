@@ -3,9 +3,11 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast.autodiff import DimensionError
+from posecast.data import skeleton_preset
 from posecast.gradcheck import check_gradients
 from posecast.graphs import SkeletonGraph, build_hop_partition, build_multigraph
 from posecast.layers import GraphConvLayer, GraphConvTower
+from posecast.model import ModelConfig, build_model
 
 
 def chain(n):
@@ -144,3 +146,68 @@ class TestTower:
             lambda: ad.tensor_sum(ad.mul(o := tower.forward(x, g), o)), params
         )
         assert err < 1e-4
+
+
+class TestFactoredGraphConv:
+    """The layer against the dense reference sum_k A_k h W_k."""
+
+    @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3), (4, 4)])
+    def test_matches_dense_reference_and_its_gradients(self, c_in, c_out):
+        rng = np.random.default_rng(11)
+        g = multigraph(chain(4), frames=3, span=1, max_hop=3)
+        layer = GraphConvLayer(c_in, c_out, num_partitions=4, rng=rng,
+                               apply_activation=False)
+        h = ad.parameter(rng.normal(size=(2, g.node_count, c_in)))
+        target = rng.normal(size=(2, g.node_count, c_out))
+
+        def grads(out):
+            for p in [h, *layer.weights]:
+                p.zero_grad()
+            ad.tensor_sum(ad.mul(out, ad.constant(target))).backward()
+            return [p.grad for p in [h, *layer.weights]]
+
+        dense = None
+        for a_k, w_k in zip(g.operators, layer.weights):
+            term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
+            dense = term if dense is None else ad.add(dense, term)
+        expected, expected_grads = dense.values, grads(dense)
+        out = layer.forward(h, g)
+        assert np.abs(out.values - expected).max() <= 1e-12
+        for got, want in zip(grads(out), expected_grads, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
+    def test_repeated_calls_are_bit_identical(self, c_in, c_out):
+        rng = np.random.default_rng(12)
+        g = multigraph(chain(6), frames=4, span=2, max_hop=2)
+        layer = GraphConvLayer(c_in, c_out, num_partitions=3, rng=rng)
+        x = rng.normal(size=(3, g.node_count, c_in))
+        runs = []
+        for _ in range(2):
+            h = ad.parameter(x.copy())
+            out = layer.forward(h, g)
+            for w in layer.weights:
+                w.zero_grad()
+            ad.tensor_sum(ad.mul(out, out)).backward()
+            runs.append([out.values.tobytes(), h.grad.tobytes()]
+                        + [w.grad.tobytes() for w in layer.weights])
+        assert runs[0] == runs[1]
+
+    def test_channel_and_partition_mismatch(self):
+        rng = np.random.default_rng(13)
+        g = multigraph(chain(4), frames=2, span=1, max_hop=1)
+        with pytest.raises(DimensionError):
+            GraphConvLayer(4, 3, num_partitions=2, rng=rng).forward(
+                ad.constant(np.zeros((1, 8, 3))), g)
+        with pytest.raises(DimensionError):
+            GraphConvLayer(3, 3, num_partitions=3, rng=rng).forward(
+                ad.constant(np.zeros((1, 8, 3))), g)
+
+
+def test_model_graphs_hold_no_dense_operator():
+    model = build_model(skeleton_preset("h36m22"), ModelConfig(input_frames=10, output_frames=10))
+    for graph in (model.input_graph, model.output_graph):
+        arrays = [a for a in vars(graph).values() if isinstance(a, np.ndarray)]
+        arrays += graph.partition.layers
+        assert len(arrays) == 2 + len(graph.partition.layers)
+        assert all(a.size < graph.node_count ** 2 for a in arrays)
