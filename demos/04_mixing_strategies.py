@@ -10,7 +10,6 @@ import numpy as np
 
 from posecast import autodiff as ad
 from posecast.attention import (
-    AttentionConfig,
     anchor_combination,
     pseudo_autoregressive,
     score_matrix,
@@ -36,7 +35,7 @@ q = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 k = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 anchors = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 
-mix = score_matrix(q, k, AttentionConfig(strategy="anchor"))
+mix = score_matrix(q, k)
 out = anchor_combination(mix, anchors)
 
 w = mix.weights.values

@@ -7,7 +7,8 @@ Two strategies plus a plain-attention baseline:
 * anchor: frame i is a per-spatial-dimension convex combination of anchor
   poses, with weights from a causally masked softmax over query/key scores,
   confining each coordinate to the anchors' bounding interval;
-* plain: same score/combination machinery with no causal mask.
+* plain: the anchor path with every frame an anchor and no causal mask
+  (``score_matrix(..., causal=False)`` then ``anchor_combination``).
 """
 
 from __future__ import annotations
@@ -20,31 +21,13 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 
 __all__ = [
-    "AttentionConfig",
     "MixMatrix",
     "pseudo_autoregressive",
     "score_matrix",
     "anchor_combination",
-    "plain_attention",
 ]
 
 STRATEGIES = ("pseudo_autoregressive", "anchor", "plain", "none")
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    strategy: str = "anchor"
-    anchor_count: int | None = None   # None means one anchor per input frame
-    scale: float | None = None        # None means sqrt(V), set at model build
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if self.strategy == "anchor" and self.anchor_count is not None:
-            if self.anchor_count < 1:
-                raise ValueError(f"anchor_count must be >= 1, got {self.anchor_count}")
 
 
 @dataclass(frozen=True)
@@ -77,12 +60,13 @@ def causal_mask(frames, anchors):
     return k <= i
 
 
-def score_matrix(q, key, config, anchor_count=None, causal=True):
+def score_matrix(q, key, anchor_count=None, causal=True):
     """Per-dimension mixing weights from query/key towers.
 
     q, key: [batch, T, V, 3]. Scores contract over joints separately for
-    each spatial dimension; a masked softmax over the anchor axis yields
-    three row-stochastic T x n_a matrices per batch element.
+    each spatial dimension and are divided by sqrt(V); a masked softmax
+    over the anchor axis yields three row-stochastic T x n_a matrices per
+    batch element.
 
     The last anchor_count key frames serve as anchors (default: all).
     Causal masking only applies when anchors are in one-to-one frame
@@ -91,7 +75,7 @@ def score_matrix(q, key, config, anchor_count=None, causal=True):
     if q.shape != key.shape:
         raise DimensionError(f"query {q.shape} and key {key.shape} disagree")
     b, t, v, _ = q.shape
-    scale = config.scale if config.scale is not None else float(np.sqrt(v))
+    scale = float(np.sqrt(v))
 
     kv = key if anchor_count is None else ad.tail(key, t - anchor_count)
     n_a = kv.shape[1]
@@ -119,9 +103,3 @@ def anchor_combination(mix, anchors):
     ad_anchors = ad.transpose(anchors, (0, 3, 1, 2))   # [B, 3, n_a, V]
     mixed = ad.matmul(mix.weights, ad_anchors)         # [B, 3, T, V]
     return ad.transpose(mixed, (0, 2, 3, 1))
-
-
-def plain_attention(q, key, val, config):
-    """Score/combination path with no causal mask; values used directly."""
-    mix = score_matrix(q, key, config, causal=False)
-    return anchor_combination(mix, val)

@@ -7,7 +7,7 @@ The on-disk container ("MGPS") is a flat little-endian binary file:
     then per-sequence records:
         uint32  V (joints per frame)
         uint32  frame count
-        float64 rate (frames per second)
+        float64 rate (frames per second, finite and > 0)
         uint32  label byte length, followed by that many UTF-8 bytes
         float64 x frames*V*3, frame-major (frame, joint, coordinate)
 
@@ -18,6 +18,7 @@ fixtures. Round-trips through save/load are bit-exact.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ __all__ = [
     "PoseSequence",
     "WindowSet",
     "PoseFormatError",
+    "Reader",
     "save_sequences",
     "load_sequences",
     "load_csv",
@@ -44,6 +46,53 @@ VERSION = 1
 
 class PoseFormatError(ValueError):
     """Malformed pose container or CSV input."""
+
+
+class Reader:
+    """Bounded little-endian reads from a byte string, tracking the offset.
+
+    A read past the end raises ``error`` naming the offset, what was being
+    read and how many bytes it needed.
+    """
+
+    def __init__(self, blob, kind, error):
+        self.blob, self.kind, self.error = blob, kind, error
+        self.offset = 0
+
+    def need(self, size, what):
+        """Raise unless ``size`` more bytes remain."""
+        remain = len(self.blob) - self.offset
+        if size > remain:
+            raise self.error(f"truncated {self.kind} at byte {self.offset}: "
+                             f"{what} needs {size} bytes, {remain} remain")
+
+    def _claim(self, size, what):
+        self.need(size, what)
+        self.offset += size
+        return self.offset - size
+
+    def take(self, fmt, what):
+        return struct.unpack_from(fmt, self.blob, self._claim(struct.calcsize(fmt), what))
+
+    def text(self, what, encoding):
+        """A u32 byte length, then that many bytes of text."""
+        n, = self.take("<I", what)
+        start = self._claim(n, what)
+        try:
+            return self.blob[start: start + n].decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} at byte {start} is not {encoding}") from exc
+
+    def floats(self, shape, what):
+        """A float64 block of the given shape, copied out of the blob."""
+        count = math.prod(shape)          # a Python int: no overflow
+        start = self._claim(8 * count, what)
+        return np.frombuffer(self.blob, "<f8", count, start).reshape(shape).astype(np.float64)
+
+    def finish(self):
+        if self.offset != len(self.blob):
+            raise self.error(f"{len(self.blob) - self.offset} trailing bytes after "
+                             f"{self.kind} end at byte {self.offset}")
 
 
 @dataclass
@@ -99,41 +148,28 @@ def load_sequences(path):
         blob = f.read()
     if len(blob) == 0:
         return []
-    if blob[:4] != MAGIC:
-        raise PoseFormatError(f"bad magic {blob[:4]!r} at byte 0, expected {MAGIC!r}")
-    if len(blob) < 5:
-        raise PoseFormatError("truncated header at byte 4: missing version byte")
-    if blob[4] != VERSION:
-        raise PoseFormatError(f"unsupported version {blob[4]} at byte 4")
+    r = Reader(blob, "pose container", PoseFormatError)
+    magic, version = r.take("<4sB", "header")
+    if magic != MAGIC:
+        raise PoseFormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
+    if version != VERSION:
+        raise PoseFormatError(f"unsupported version {version} at byte 4")
 
     sequences = []
-    offset = 5
-    while offset < len(blob):
-        try:
-            v, n_frames = struct.unpack_from("<II", blob, offset)
-            rate, = struct.unpack_from("<d", blob, offset + 8)
-            label_len, = struct.unpack_from("<I", blob, offset + 16)
-            offset_data = offset + 20 + label_len
-            label = blob[offset + 20: offset_data].decode("utf-8")
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise PoseFormatError(
-                f"truncated or corrupt record header at byte {offset}: {exc}"
-            ) from exc
+    while r.offset < len(blob):
+        start = r.offset
+        v, n_frames, rate = r.take("<IId", "record header")
+        label = r.text("label", "utf-8")
         if v == 0:
-            raise PoseFormatError(f"record at byte {offset} declares 0 joints")
-        n_values = n_frames * v * 3
-        end = offset_data + 8 * n_values
-        if end > len(blob):
+            raise PoseFormatError(f"record at byte {start} declares 0 joints")
+        if not 0 < rate < math.inf:
             raise PoseFormatError(
-                f"truncated record at byte {offset_data}: "
-                f"need {8 * n_values} coordinate bytes, have {len(blob) - offset_data}"
+                f"record at byte {start} has frame rate {rate}, expected finite and > 0"
             )
-        coords = np.frombuffer(blob[offset_data:end], dtype="<f8")
-        frames = coords.reshape(n_frames, v, 3).astype(np.float64)
+        frames = r.floats((n_frames, v, 3), "coordinates")
         if not np.isfinite(frames).all():
-            raise PoseFormatError(f"non-finite coordinate in record at byte {offset}")
+            raise PoseFormatError(f"non-finite coordinate in record at byte {start}")
         sequences.append(PoseSequence(frames=frames, rate=rate, label=label))
-        offset = end
 
     joint_counts = {s.joint_count for s in sequences}
     if len(joint_counts) > 1:

@@ -18,6 +18,7 @@ import numpy as np
 from . import attention as attn
 from . import autodiff as ad
 from .autodiff import DimensionError
+from .data import Reader
 from .graphs import SkeletonGraph, build_hop_partition, build_multigraph
 from .layers import GraphConvTower
 
@@ -29,6 +30,7 @@ __all__ = [
     "temporal_align",
     "save_checkpoint",
     "load_checkpoint",
+    "HEADER_FIELDS",
 ]
 
 VALUE_SCHEDULE = (3, 64, 32, 64, 3)
@@ -69,6 +71,26 @@ class ModelConfig:
             raise ValueError(
                 f"anchor_count must be in [1, {self.input_frames}], got {n_a}"
             )
+        if min(self.input_frames, self.output_frames) < 1:
+            raise ValueError("input_frames and output_frames must be >= 1")
+        # A span of max(T, K) - 1 already joins every pair of frames.
+        longest = max(self.input_frames, self.output_frames)
+        if not 0 <= self.span < longest:
+            raise ValueError(f"span must be in [0, {longest - 1}], got {self.span}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+# The checkpoint header after the magic, the version byte and the joint
+# count V: every ModelConfig field in file order with its code, a struct
+# format ("B" holds a 0/1 flag), "s" for a u32-length-prefixed ASCII string
+# or "I*" for a u32-length-prefixed list of u32. An anchor_count of None is
+# stored as 0.
+HEADER_FIELDS = (
+    ("input_frames", "I"), ("output_frames", "I"), ("span", "I"), ("max_hop", "I"),
+    ("strategy", "s"), ("anchor_count", "I"), ("refine", "B"), ("seed", "q"),
+    ("value_schedule", "I*"), ("qk_schedule", "I*"),
+)
 
 
 @dataclass
@@ -103,22 +125,13 @@ class ForecastModel:
             )
         else:
             self.refine_tower = None
-        self.attention = attn.AttentionConfig(
-            strategy=config.strategy, anchor_count=config.anchor_count
-        )
 
     @property
     def joint_count(self):
         return self.skeleton.joint_count
 
     def parameters(self):
-        params = self.v_tower.parameters()
-        if self.q_tower is not None:
-            params += self.q_tower.parameters() + self.k_tower.parameters()
-        params.append(self.tcn)
-        if self.refine_tower is not None:
-            params += self.refine_tower.parameters()
-        return params
+        return [p for _, p in _named_parameters(self)]
 
     def count_parameters(self):
         return sum(p.values.size for p in self.parameters())
@@ -150,22 +163,19 @@ class ForecastModel:
 
     def _mix(self, v_out, x_in, x):
         cfg = self.config
-        t = cfg.input_frames
         if cfg.strategy == "pseudo_autoregressive":
             last = ad.constant(x[:, -1])
             return attn.pseudo_autoregressive(v_out, last)
-        if cfg.strategy == "anchor":
-            n_a = cfg.anchor_count
-            q = self._run_tower(self.q_tower, x_in, self.input_graph)
-            key = self._run_tower(self.k_tower, x_in, self.input_graph)
-            mix = attn.score_matrix(q, key, self.attention, anchor_count=n_a)
-            anchors = v_out if n_a is None else ad.tail(v_out, t - n_a)
-            return attn.anchor_combination(mix, anchors)
-        if cfg.strategy == "plain":
-            q = self._run_tower(self.q_tower, x_in, self.input_graph)
-            key = self._run_tower(self.k_tower, x_in, self.input_graph)
-            return attn.plain_attention(q, key, v_out, self.attention)
-        return v_out                  # strategy "none"
+        if cfg.strategy == "none":
+            return v_out
+        # "plain" is "anchor" with every frame an anchor and no causal mask.
+        causal = cfg.strategy == "anchor"
+        n_a = cfg.anchor_count if causal else None
+        q = self._run_tower(self.q_tower, x_in, self.input_graph)
+        key = self._run_tower(self.k_tower, x_in, self.input_graph)
+        mix = attn.score_matrix(q, key, anchor_count=n_a, causal=causal)
+        anchors = v_out if n_a is None else ad.tail(v_out, cfg.input_frames - n_a)
+        return attn.anchor_combination(mix, anchors)
 
     def predict(self, x):
         """Forward pass without recording a graph; returns plain arrays."""
@@ -207,122 +217,91 @@ def _named_parameters(model):
     return named
 
 
+def _pack_field(code, value):
+    if code == "s":
+        raw = value.encode("ascii")
+        return struct.pack("<I", len(raw)) + raw
+    if code == "I*":
+        return struct.pack(f"<I{len(value)}I", len(value), *value)
+    return struct.pack("<" + code, 0 if value is None else value)
+
+
+def _read_field(r, code, what):
+    if code == "s":
+        return r.text(what, "ascii")
+    if code == "I*":
+        n, = r.take("<I", what)
+        return r.take(f"<{n}I", what)
+    start = r.offset
+    value, = r.take("<" + code, what)
+    if code == "B" and value > 1:
+        raise ValueError(f"{what} at byte {start} is {value}, expected 0 or 1")
+    return bool(value) if code == "B" else value
+
+
 def save_checkpoint(path, model):
     """Flat little-endian container: header then named float64 blocks."""
     cfg = model.config
     edges = sorted(tuple(sorted(e)) for e in model.skeleton.edges)
-    strategy = cfg.strategy.encode("ascii")
+    named = _named_parameters(model)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(bytes([CHECKPOINT_VERSION]))
-        f.write(
-            struct.pack(
-                "<IIIII",
-                model.joint_count,
-                cfg.input_frames,
-                cfg.output_frames,
-                cfg.span,
-                cfg.max_hop,
-            )
-        )
-        f.write(struct.pack("<I", len(strategy)))
-        f.write(strategy)
-        n_a = 0 if cfg.anchor_count is None else cfg.anchor_count
-        f.write(struct.pack("<IBq", n_a, int(cfg.refine), cfg.seed))
-        for schedule in (cfg.value_schedule, cfg.qk_schedule):
-            f.write(struct.pack("<I", len(schedule)))
-            f.write(struct.pack(f"<{len(schedule)}I", *schedule))
+        f.write(CHECKPOINT_MAGIC + struct.pack("<BI", CHECKPOINT_VERSION, model.joint_count))
+        for name, code in HEADER_FIELDS:
+            f.write(_pack_field(code, getattr(cfg, name)))
         f.write(struct.pack("<I", len(edges)))
         for a, b in edges:
             f.write(struct.pack("<II", a, b))
-        named = _named_parameters(model)
         f.write(struct.pack("<I", len(named)))
         for name, tensor in named:
-            nb = name.encode("ascii")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", tensor.values.ndim))
-            f.write(struct.pack(f"<{tensor.values.ndim}I", *tensor.values.shape))
+            f.write(_pack_field("s", name))
+            f.write(_pack_field("I*", tensor.values.shape))
             f.write(tensor.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; any malformed file raises ValueError
-    naming the byte offset of the problem."""
+    naming the byte offset or the field at fault."""
     with open(path, "rb") as f:
         blob = f.read()
-    off = 0
-
-    def take(fmt, what):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise ValueError(
-                f"truncated checkpoint at byte {off}: {what} needs {size} bytes, "
-                f"{len(blob) - off} remain"
-            )
-        values = struct.unpack_from(fmt, blob, off)
-        off += size
-        return values
-
-    def text(what):
-        n, = take("<I", f"{what} length")
-        raw, = take(f"{n}s", what)
-        try:
-            return raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{what} at byte {off - n} is not ASCII") from exc
-
-    magic, version = take("<4sB", "header")
+    r = Reader(blob, "checkpoint", ValueError)
+    magic, version = r.take("<4sB", "header")
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r} at byte 0")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version} at byte 4")
-    v, t, k, span, max_hop = take("<IIIII", "dimensions")
-    strategy = text("strategy")
-    n_a, refine, seed = take("<IBq", "anchor count, refine flag and seed")
-    schedules = []
-    for what in ("value schedule", "qk schedule"):
-        n, = take("<I", f"{what} length")
-        schedules.append(take(f"<{n}I", what))
-    n_edges, = take("<I", "edge count")
-    edges = [take("<II", "edge") for _ in range(n_edges)]
+    v, = r.take("<I", "joint count")
+    fields = {name: _read_field(r, code, name) for name, code in HEADER_FIELDS}
+    fields["anchor_count"] = fields["anchor_count"] or None
+    n_edges, = r.take("<I", "edge count")
+    edges = [r.take("<II", "edge") for _ in range(n_edges)]
+    n_params, = r.take("<I", "parameter block count")
 
-    skeleton = SkeletonGraph(joint_count=v, edges=frozenset(edges))
-    config = ModelConfig(
-        input_frames=t,
-        output_frames=k,
-        span=span,
-        max_hop=max_hop,
-        strategy=strategy,
-        anchor_count=n_a or None,
-        refine=bool(refine),
-        value_schedule=tuple(schedules[0]),
-        qk_schedule=tuple(schedules[1]),
-        seed=seed,
-    )
-    model = ForecastModel(skeleton, config)
-
-    n_params, = take("<I", "parameter block count")
-    named = dict(_named_parameters(model))
-    if n_params != len(named):
-        raise ValueError(
-            f"checkpoint holds {n_params} parameter blocks, model expects {len(named)}"
-        )
+    config = ModelConfig(**fields)
+    # Check the sizes the header declares against the bytes left, before
+    # the model allocates them. A connected skeleton has V - 1 edges.
+    if v > n_edges + 1:
+        raise ValueError(f"joint count V={v} needs {v - 1} skeleton edges, file has {n_edges}")
+    t, k, vs = config.input_frames, config.output_frames, config.value_schedule
+    r.need(8 * t * k, f"tcn block of input_frames={t} x output_frames={k}")
+    # Every weight block also stores its name length, rank and two dimensions.
+    r.need((config.max_hop + 1) * sum(16 + 8 * a * b for a, b in zip(vs, vs[1:])),
+           f"value tower of max_hop={config.max_hop}")
+    model = ForecastModel(SkeletonGraph(joint_count=v, edges=frozenset(edges)), config)
+    blocks = dict(_named_parameters(model))
+    if n_params != len(blocks):
+        raise ValueError(f"checkpoint holds {n_params} blocks, model expects {len(blocks)}")
     for _ in range(n_params):
-        start = off
-        name = text("parameter name")
-        ndim, = take("<I", f"rank of {name!r}")
-        shape = take(f"<{ndim}I", f"shape of {name!r}")
-        if name not in named:
-            raise ValueError(f"unexpected parameter block {name!r} at byte {start}")
-        if named[name].values.shape != shape:
+        start = r.offset
+        name = r.text("parameter name", "ascii")
+        shape = _read_field(r, "I*", name)
+        tensor = blocks.pop(name, None)
+        if tensor is None:
+            raise ValueError(f"unexpected or repeated parameter block {name!r} at byte {start}")
+        if tensor.values.shape != shape:
             raise ValueError(
                 f"parameter {name!r} at byte {start} has shape {shape}, "
-                f"model expects {named[name].values.shape}"
+                f"model expects {tensor.values.shape}"
             )
-        raw, = take(f"{8 * named[name].values.size}s", f"values of {name!r}")
-        named[name].values[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if off != len(blob):
-        raise ValueError(f"{len(blob) - off} trailing bytes after checkpoint end at byte {off}")
+        tensor.values[...] = r.floats(shape, name)
+    r.finish()
     return model

@@ -54,6 +54,8 @@ class TrainConfig:
             object.__setattr__(self, "clip_norm", float(self.clip_norm))
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         decays = tuple(int(e) for e in self.lr_decay_epochs)
         if list(decays) != sorted(set(decays)):
             raise ValueError(f"decay epochs must be strictly increasing: {decays}")

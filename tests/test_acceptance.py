@@ -14,7 +14,6 @@ import yaml
 from posecast import autodiff as ad
 from posecast import cli, gradcheck
 from posecast.attention import (
-    AttentionConfig,
     anchor_combination,
     pseudo_autoregressive,
     score_matrix,
@@ -100,7 +99,7 @@ def test_05_convex_combination_semantics():
     q = ad.constant(rng.normal(size=(2, t, v, 3)))
     key = ad.constant(rng.normal(size=(2, t, v, 3)))
     anchors = rng.normal(size=(2, t, v, 3))
-    mix = score_matrix(q, key, AttentionConfig())
+    mix = score_matrix(q, key)
     weights = mix.weights.values
     rows_ok = np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-9
     nonneg = (weights >= 0).all()
@@ -118,7 +117,7 @@ def test_06_causal_masking_blocks_future_anchors():
     q = ad.constant(rng.normal(size=(1, t, v, 3)))
     key = ad.constant(rng.normal(size=(1, t, v, 3)))
     anchors = rng.normal(size=(1, t, v, 3))
-    mix = score_matrix(q, key, AttentionConfig())
+    mix = score_matrix(q, key)
     base = anchor_combination(mix, ad.constant(anchors)).values
     ok = True
     for k in range(1, t):

@@ -3,14 +3,12 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast.attention import (
-    AttentionConfig,
     anchor_combination,
     causal_mask,
-    plain_attention,
     pseudo_autoregressive,
     score_matrix,
 )
-from posecast.autodiff import DegenerateMaskError, DimensionError
+from posecast.autodiff import DimensionError
 
 
 def rand(rng, *shape):
@@ -64,7 +62,7 @@ class TestScoreMatrix:
         t = 5
         q = ad.constant(np.zeros((1, t, 4, 3)))
         k = ad.constant(np.zeros((1, t, 4, 3)))
-        mix = score_matrix(q, k, AttentionConfig())
+        mix = score_matrix(q, k)
         w = mix.weights.values[0, 0]
         for i in range(t):
             expected = np.zeros(t)
@@ -75,16 +73,13 @@ class TestScoreMatrix:
         rng = np.random.default_rng(3)
         t = 4
         mix = score_matrix(
-            rand(rng, 1, t, 5, 3), rand(rng, 1, t, 5, 3),
-            AttentionConfig(anchor_count=1), anchor_count=1, causal=False,
+            rand(rng, 1, t, 5, 3), rand(rng, 1, t, 5, 3), anchor_count=1, causal=False,
         )
         assert np.array_equal(mix.weights.values, np.ones((1, 3, t, 1)))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        mix = score_matrix(
-            rand(rng, 2, 6, 4, 3), rand(rng, 2, 6, 4, 3), AttentionConfig()
-        )
+        mix = score_matrix(rand(rng, 2, 6, 4, 3), rand(rng, 2, 6, 4, 3))
         sums = mix.weights.values.sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
@@ -97,7 +92,6 @@ class TestScoreMatrix:
             score_matrix(
                 ad.constant(np.zeros((1, 3, 4, 3))),
                 ad.constant(np.zeros((1, 4, 4, 3))),
-                AttentionConfig(),
             )
 
 
@@ -108,9 +102,7 @@ class TestAnchorCombination:
         pose = rng.normal(size=(1, 1, v, 3))
         anchors = ad.constant(np.repeat(pose, n_a, axis=1))
         mix = score_matrix(
-            rand(rng, 1, t, v, 3), rand(rng, 1, t, v, 3),
-            AttentionConfig(anchor_count=n_a),
-            anchor_count=n_a, causal=False,
+            rand(rng, 1, t, v, 3), rand(rng, 1, t, v, 3), anchor_count=n_a, causal=False,
         )
         out = anchor_combination(mix, anchors)
         for i in range(t):
@@ -130,9 +122,7 @@ class TestAnchorCombination:
         rng = np.random.default_rng(6)
         t, v = 6, 4
         anchors = rng.normal(size=(2, t, v, 3))
-        mix = score_matrix(
-            rand(rng, 2, t, v, 3), rand(rng, 2, t, v, 3), AttentionConfig()
-        )
+        mix = score_matrix(rand(rng, 2, t, v, 3), rand(rng, 2, t, v, 3))
         out = anchor_combination(mix, ad.constant(anchors)).values
         lo = anchors.min(axis=1, keepdims=True)
         hi = anchors.max(axis=1, keepdims=True)
@@ -140,21 +130,21 @@ class TestAnchorCombination:
 
     def test_anchor_count_mismatch(self):
         rng = np.random.default_rng(7)
-        mix = score_matrix(
-            rand(rng, 1, 4, 3, 3), rand(rng, 1, 4, 3, 3), AttentionConfig()
-        )
+        mix = score_matrix(rand(rng, 1, 4, 3, 3), rand(rng, 1, 4, 3, 3))
         with pytest.raises(DimensionError):
             anchor_combination(mix, ad.constant(np.zeros((1, 3, 3, 3))))
+
+
+def plain(q, key, val):
+    """The plain strategy: every frame an anchor, no causal mask."""
+    return anchor_combination(score_matrix(q, key, causal=False), val)
 
 
 class TestPlainAttention:
     def test_single_frame_returns_value(self):
         rng = np.random.default_rng(8)
         val = rng.normal(size=(1, 1, 4, 3))
-        out = plain_attention(
-            rand(rng, 1, 1, 4, 3), rand(rng, 1, 1, 4, 3),
-            ad.constant(val), AttentionConfig(strategy="plain"),
-        )
+        out = plain(rand(rng, 1, 1, 4, 3), rand(rng, 1, 1, 4, 3), ad.constant(val))
         assert np.allclose(out.values, val, atol=1e-15)
 
     def test_uniform_scores_time_average(self):
@@ -162,21 +152,9 @@ class TestPlainAttention:
         t = 5
         val = rng.normal(size=(1, t, 4, 3))
         zeros = ad.constant(np.zeros((1, t, 4, 3)))
-        out = plain_attention(zeros, zeros, ad.constant(val),
-                              AttentionConfig(strategy="plain"))
+        out = plain(zeros, zeros, ad.constant(val))
         mean = val.mean(axis=1, keepdims=True)
         assert np.allclose(out.values, np.repeat(mean, t, axis=1), atol=1e-12)
-
-    def test_equals_unmasked_anchor_path(self):
-        rng = np.random.default_rng(10)
-        t = 4
-        q, k = rand(rng, 1, t, 3, 3), rand(rng, 1, t, 3, 3)
-        val = rand(rng, 1, t, 3, 3)
-        config = AttentionConfig(strategy="plain")
-        direct = plain_attention(q, k, val, config).values
-        mix = score_matrix(q, k, config, causal=False)
-        composed = anchor_combination(mix, val).values
-        assert np.allclose(direct, composed, atol=1e-12)
 
 
 def test_causality_exact_zero_propagation():
@@ -186,7 +164,7 @@ def test_causality_exact_zero_propagation():
     t, v = 6, 4
     q, k = rand(rng, 1, t, v, 3), rand(rng, 1, t, v, 3)
     anchors = rng.normal(size=(1, t, v, 3))
-    mix = score_matrix(q, k, AttentionConfig())
+    mix = score_matrix(q, k)
     base = anchor_combination(mix, ad.constant(anchors)).values
     for k_pert in range(1, t):
         bumped = anchors.copy()
@@ -194,12 +172,3 @@ def test_causality_exact_zero_propagation():
         out = anchor_combination(mix, ad.constant(bumped)).values
         assert np.array_equal(out[:, :k_pert], base[:, :k_pert])
         assert not np.array_equal(out[:, k_pert], base[:, k_pert])
-
-
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        AttentionConfig(strategy="wavelet")
-    with pytest.raises(DegenerateMaskError):
-        # causal row 0 with no anchors <= 0 can't happen, but a fully
-        # masked slice can be forced through the raw op
-        ad.masked_softmax(ad.constant([[0.0]]), [[False]], axis=-1)

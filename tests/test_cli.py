@@ -213,6 +213,7 @@ MALFORMED = {
     "train_unknown_model_key": (_train("model", max_hops=2), "max_hops"),
     "train_refine_string": (_train("model", refine="false"), "refine"),
     "train_batch_size_0": (_train("train", batch_size=0), "batch_size"),
+    "train_negative_seed": (_train(seed=-1), "seed must be >= 0"),
     "train_bad_value_schedule": (_train("model", value_schedule=[4, 3]), "(4, 3)"),
     "eval_truncated_checkpoint": (_eval("truncated.pckp", "poses.mgps"),
                                   "truncated checkpoint at byte"),

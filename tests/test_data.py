@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,34 @@ class TestContainerFormat:
         cut.write_bytes(blob[:-8])
         with pytest.raises(PoseFormatError, match="byte"):
             load_sequences(cut)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        first = PoseSequence(frames=np.ones((2, 2, 3)), label="a")
+        path = tmp_path / "poses.mgps"
+        save_sequences(path, [first, PoseSequence(frames=np.ones((3, 2, 3)), label="bc")])
+        blob = path.read_bytes()
+        boundary = 5 + 20 + len(first.label) + 8 * first.frames.size
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            if n in (0, 5, boundary):
+                assert len(load_sequences(path)) == {0: 0, 5: 0, boundary: 1}[n]
+                continue
+            with pytest.raises(PoseFormatError, match=r"truncated pose container at byte \d+"):
+                load_sequences(path)
+
+    def test_huge_record_is_truncated_not_overflowed(self, tmp_path):
+        path = tmp_path / "huge.mgps"
+        most = 2**32 - 1
+        path.write_bytes(b"MGPS\x01" + struct.pack("<IIdI", most, most, 25.0, 0))
+        with pytest.raises(PoseFormatError, match="truncated pose container at byte 25"):
+            load_sequences(path)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -25.0])
+    def test_bad_frame_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "poses.mgps"
+        save_sequences(path, [PoseSequence(frames=np.ones((2, 2, 3)), rate=rate)])
+        with pytest.raises(PoseFormatError, match="record at byte 5 has frame rate"):
+            load_sequences(path)
 
     def test_inconsistent_joint_counts_rejected(self, tmp_path):
         path = tmp_path / "mixed.mgps"

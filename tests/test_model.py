@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from posecast import autodiff as ad
 from posecast.autodiff import DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import (
+    HEADER_FIELDS,
     ModelConfig,
     build_model,
     load_checkpoint,
@@ -115,6 +118,14 @@ class TestForward:
                 )
                 assert model.forward(x).predictions.shape == (1, 2, 4, 3)
 
+    def test_plain_ignores_anchor_count(self):
+        # plain runs the anchor path with every frame an anchor, unmasked.
+        skeleton = skeleton_preset("chain_4")
+        x = np.random.default_rng(9).normal(size=(1, 3, 4, 3))
+        every = build_model(skeleton, tiny_config(strategy="plain")).predict(x)
+        two = build_model(skeleton, tiny_config(strategy="plain", anchor_count=2)).predict(x)
+        assert np.array_equal(every, two)
+
     def test_anchor_subset_strategy(self):
         skeleton = skeleton_preset("chain_4")
         model = build_model(skeleton, tiny_config(strategy="anchor", anchor_count=2))
@@ -132,6 +143,15 @@ class TestForward:
             tiny_config(strategy="unknown")
         with pytest.raises(ValueError):
             tiny_config(anchor_count=7)   # > input_frames
+
+    @pytest.mark.parametrize("field, value", [
+        ("span", 3),                      # >= max(T, K) = 3
+        ("output_frames", 0),
+        ("seed", -1),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
 
     def test_refine_must_be_bool(self):
         # A YAML string such as "false" is truthy; it must not mean True.
@@ -199,6 +219,48 @@ class TestCheckpoint:
         path.write_bytes(blob + b"junk")
         with pytest.raises(ValueError, match=f"4 trailing bytes .* at byte {len(blob)}"):
             load_checkpoint(path)
+
+    def test_header_holds_every_config_field(self):
+        names = [name for name, _ in HEADER_FIELDS]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(ModelConfig))
+
+    def test_repeated_block_rejected(self, tmp_path):
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), tiny_config()))
+        blob = path.read_bytes()
+        # v_tower.0 and v_tower.1 are both (3, 4): name the second block v_tower.0.
+        path.write_bytes(blob.replace(b"v_tower.1", b"v_tower.0"))
+        start = blob.index(b"v_tower.1") - 4
+        with pytest.raises(ValueError, match=f"repeated parameter block 'v_tower.0' at byte {start}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("flag", [2, 0xFF])
+    def test_refine_byte_must_be_0_or_1(self, tmp_path, flag):
+        config = tiny_config()
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), config))
+        blob = bytearray(path.read_bytes())
+        # magic, version, V, T, K, L, D, strategy length and text, anchor_count
+        offset = 25 + 4 + len(config.strategy) + 4
+        assert blob[offset] == 1
+        blob[offset] = flag
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"refine at byte {offset} is {flag}"):
+            load_checkpoint(path)
+
+    def test_corrupt_dimension_rejected_before_building(self, tmp_path):
+        # Bytes 5-24 hold V, T, K, L and D; an unchecked corrupt value makes
+        # the model allocate gigabytes or loop for minutes.
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), tiny_config()))
+        blob = path.read_bytes()
+        for offset in range(5, 25):
+            for value in (0xFF, 0x7F):
+                corrupt = bytearray(blob)
+                corrupt[offset] = value
+                path.write_bytes(corrupt)
+                with pytest.raises(ValueError):
+                    load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pckp"
