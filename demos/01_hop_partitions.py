@@ -24,8 +24,10 @@ coverage = sum(partition.layers)
 print("every pair covered exactly once:", np.array_equal(coverage, np.ones((5, 5))))
 
 # Extend across time: frames within `span` of each other get connected,
-# and each partition is degree-normalized separately.
+# and each partition is degree-normalized separately. The multigraph keeps
+# the normalized frame band and hop layers; operator k is their kron.
 mg = build_multigraph(partition, frame_count=4, span=1)
-for k, op in enumerate(mg.operators):
+for k, hop in enumerate(mg.hops):
+    op = np.kron(mg.band, hop)
     print(f"spatio-temporal operator {k}: shape {op.shape}, "
           f"row sums in [{op.sum(axis=1).min():.3f}, {op.sum(axis=1).max():.3f}]")

@@ -35,10 +35,10 @@ q = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 k = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 anchors = ad.constant(rng.normal(size=(1, frames, joints, 3)))
 
-mix = score_matrix(q, k)
-out = anchor_combination(mix, anchors)
+weights = score_matrix(q, k)
+out = anchor_combination(weights, anchors)
 
-w = mix.weights.values
+w = weights.values
 print(f"weight rows sum to one (max deviation {abs(w.sum(-1) - 1).max():.1e}), "
       f"min weight {w.min():.1e}")
 
@@ -50,6 +50,6 @@ print("predictions stay inside the anchor bounding box:", inside)
 # Causality: bump a late anchor and watch the early frames not move.
 bumped = anchors.values.copy()
 bumped[:, -1] += 1e6
-out2 = anchor_combination(mix, ad.constant(bumped))
+out2 = anchor_combination(weights, ad.constant(bumped))
 early_identical = np.array_equal(out.values[:, :-1], out2.values[:, :-1])
 print("frames before the bumped anchor are bit-identical:", early_identical)

@@ -6,14 +6,14 @@ Two strategies plus a plain-attention baseline:
   plus the running sum of predicted per-frame offsets 1..i;
 * anchor: frame i is a per-spatial-dimension convex combination of anchor
   poses, with weights from a causally masked softmax over query/key scores,
-  confining each coordinate to the anchors' bounding interval;
+  confining each coordinate to the anchors' bounding interval
+  (``score_matrix`` returns the weights tensor, ``anchor_combination``
+  applies it);
 * plain: the anchor path with every frame an anchor and no causal mask
   (``score_matrix(..., causal=False)`` then ``anchor_combination``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +21,12 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 
 __all__ = [
-    "MixMatrix",
     "pseudo_autoregressive",
     "score_matrix",
     "anchor_combination",
 ]
 
 STRATEGIES = ("pseudo_autoregressive", "anchor", "plain", "none")
-
-
-@dataclass(frozen=True)
-class MixMatrix:
-    """Per-spatial-dimension stochastic weights, [batch, 3, T, n_anchors]."""
-
-    weights: ad.Tensor
-    mask: np.ndarray
 
 
 def pseudo_autoregressive(offsets, last_frame):
@@ -66,7 +57,7 @@ def score_matrix(q, key, anchor_count=None, causal=True):
     q, key: [batch, T, V, 3]. Scores contract over joints separately for
     each spatial dimension and are divided by sqrt(V); a masked softmax
     over the anchor axis yields three row-stochastic T x n_a matrices per
-    batch element.
+    batch element: the weights tensor, [batch, 3, T, n_a].
 
     The last anchor_count key frames serve as anchors (default: all).
     Causal masking only applies when anchors are in one-to-one frame
@@ -90,16 +81,18 @@ def score_matrix(q, key, anchor_count=None, causal=True):
     else:
         mask = np.ones((t, n_a), dtype=bool)
     full_mask = np.broadcast_to(mask, (b, 3, t, n_a))
-    weights = ad.masked_softmax(scores, full_mask, axis=-1)
-    return MixMatrix(weights=weights, mask=mask)
+    return ad.masked_softmax(scores, full_mask, axis=-1)
 
 
-def anchor_combination(mix, anchors):
-    """out[b, i, v, d] = sum_k w[b, d, i, k] * anchor[b, k, v, d]."""
-    if mix.weights.shape[-1] != anchors.shape[1]:
+def anchor_combination(weights, anchors):
+    """out[b, i, v, d] = sum_k w[b, d, i, k] * anchor[b, k, v, d].
+
+    weights: [batch, 3, T, n_a] from score_matrix; anchors: [batch, n_a, V, 3].
+    """
+    if weights.shape[-1] != anchors.shape[1]:
         raise DimensionError(
-            f"mix expects {mix.weights.shape[-1]} anchors, got {anchors.shape[1]}"
+            f"mix expects {weights.shape[-1]} anchors, got {anchors.shape[1]}"
         )
     ad_anchors = ad.transpose(anchors, (0, 3, 1, 2))   # [B, 3, n_a, V]
-    mixed = ad.matmul(mix.weights, ad_anchors)         # [B, 3, T, V]
+    mixed = ad.matmul(weights, ad_anchors)             # [B, 3, T, V]
     return ad.transpose(mixed, (0, 2, 3, 1))

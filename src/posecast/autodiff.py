@@ -112,19 +112,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; the free functions do the real work.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def item(self):
         return float(self.values.reshape(()))
 
@@ -151,10 +138,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(values, rng=None, shape=None):

@@ -108,7 +108,7 @@ class PoseSequence:
                 f"pose frames must be [frames, V, 3], got {self.frames.shape}"
             )
         if not np.isfinite(self.frames).all():
-            raise PoseFormatError("pose coordinates must be finite")
+            raise PoseFormatError("non-finite pose coordinate")
 
     @property
     def joint_count(self):
@@ -167,9 +167,10 @@ def load_sequences(path):
                 f"record at byte {start} has frame rate {rate}, expected finite and > 0"
             )
         frames = r.floats((n_frames, v, 3), "coordinates")
-        if not np.isfinite(frames).all():
-            raise PoseFormatError(f"non-finite coordinate in record at byte {start}")
-        sequences.append(PoseSequence(frames=frames, rate=rate, label=label))
+        try:
+            sequences.append(PoseSequence(frames=frames, rate=rate, label=label))
+        except PoseFormatError as exc:
+            raise PoseFormatError(f"{exc} in record at byte {start}") from exc
 
     joint_counts = {s.joint_count for s in sequences}
     if len(joint_counts) > 1:

@@ -11,7 +11,8 @@ An assembled operator is kron(band, layer_k) with one T x T band shared
 by every hop, and since the degree of node (t, v) is the product of the
 band and layer degrees, its normalization is kron(normalize(band),
 normalize(layer_k)). A PartitionedMultiGraph therefore stores only the
-two normalized factors; the (VT)^2 operators are built on request.
+two normalized factors; only ``dump_multigraph`` forms the (VT)^2
+operators, one at a time.
 
 Node (frame t, joint v) maps to flat index t * V + v.
 """
@@ -60,13 +61,6 @@ class SkeletonGraph:
                     )
         object.__setattr__(self, "edges", edges)
 
-    def adjacency(self):
-        a = np.zeros((self.joint_count, self.joint_count))
-        for e in self.edges:
-            i, j = sorted(e)
-            a[i, j] = a[j, i] = 1.0
-        return a
-
     def neighbors(self):
         nbrs = [[] for _ in range(self.joint_count)]
         for e in self.edges:
@@ -114,17 +108,6 @@ class PartitionedMultiGraph:
     @property
     def node_count(self):
         return self.frame_count * self.joint_count
-
-    @property
-    def operators(self):
-        """The dense normalized (VT)^2 operators, built on each access."""
-        return tuple(np.kron(self.band, h) for h in self.hops)
-
-    @property
-    def raw_operators(self):
-        """The dense operators before normalization, built on each access."""
-        band = _frame_band(self.frame_count, self.span)
-        return tuple(np.kron(band, g_k) for g_k in self.partition.layers)
 
 
 def hop_distances(graph):
@@ -234,9 +217,10 @@ def dump_multigraph(multigraph, out_dir):
         multigraph.span,
         multigraph.max_hop,
     )
-    pairs = zip(multigraph.raw_operators, multigraph.operators)
-    for k, (raw, normalized) in enumerate(pairs):
-        for tag, matrix in (("pre", raw), ("post", normalized)):
+    band = _frame_band(multigraph.frame_count, multigraph.span)
+    for k, (layer, hop) in enumerate(zip(multigraph.partition.layers, multigraph.hops)):
+        dense = {"pre": np.kron(band, layer), "post": np.kron(multigraph.band, hop)}
+        for tag, matrix in dense.items():
             path = os.path.join(out_dir, f"operator_k{k}_{tag}.txt")
             write_operator(path, matrix, *meta, hop=k)
             paths.append(path)

@@ -10,6 +10,8 @@ output-side graph.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,6 +32,7 @@ __all__ = [
     "temporal_align",
     "save_checkpoint",
     "load_checkpoint",
+    "parameter_shapes",
     "HEADER_FIELDS",
 ]
 
@@ -57,7 +60,11 @@ class ModelConfig:
         for name in ("input_frames", "output_frames", "span", "max_hop", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("value_schedule", "qk_schedule"):
-            object.__setattr__(self, name, tuple(int(c) for c in getattr(self, name)))
+            schedule = tuple(int(c) for c in getattr(self, name))
+            if len(schedule) < 2 or schedule[0] != 3 or schedule[-1] != 3:
+                raise ValueError(f"{name} must list >= 2 widths, the first and last 3 "
+                                 f"coordinates, got {schedule}")
+            object.__setattr__(self, name, schedule)
         if self.anchor_count is not None:
             object.__setattr__(self, "anchor_count", int(self.anchor_count))
         if not isinstance(self.refine, bool):
@@ -108,39 +115,34 @@ class ForecastModel:
         self.input_graph = build_multigraph(partition, t, config.span)
         self.output_graph = build_multigraph(partition, k, config.span)
 
+        # Weights take Glorot draws in table order; tcn rows start as the
+        # temporal mean, so each output frame is initially a row-stochastic
+        # smoothing of the intermediate frames.
         rng = np.random.default_rng(config.seed)
-        n_parts = config.max_hop + 1
-        self.v_tower = GraphConvTower(config.value_schedule, n_parts, rng)
-        if config.strategy in ("anchor", "plain"):
-            self.q_tower = GraphConvTower(config.qk_schedule, n_parts, rng)
-            self.k_tower = GraphConvTower(config.qk_schedule, n_parts, rng)
-        else:
-            self.q_tower = self.k_tower = None
-        # Rows start as the temporal mean so each output frame is initially
-        # a row-stochastic smoothing of the intermediate frames.
-        self.tcn = ad.parameter(np.full((k, t), 1.0 / t))
+        self.params = {
+            name: ad.parameter(np.full(shape, 1.0 / t) if name == "tcn" else None,
+                               rng=rng, shape=shape)
+            for name, shape in parameter_shapes(config)
+        }
+        self.tcn = self.params["tcn"]
+        for tower in ("v_tower", "q_tower", "k_tower", "refine_tower"):
+            weights = [p for name, p in self.params.items() if name.startswith(tower + ".")]
+            setattr(self, tower, GraphConvTower(weights, config.max_hop + 1) if weights else None)
         if config.refine:
-            self.refine_tower = GraphConvTower(
-                config.value_schedule, n_parts, rng, zero_init_final=True
-            )
-        else:
-            self.refine_tower = None
+            # Drawn last, so zeroing its final layer changes no other draw;
+            # the refinement then starts as the identity.
+            for w in self.refine_tower.layers[-1].weights:
+                w.values[...] = 0.0
 
     @property
     def joint_count(self):
         return self.skeleton.joint_count
 
     def parameters(self):
-        return [p for _, p in _named_parameters(self)]
+        return list(self.params.values())
 
     def count_parameters(self):
         return sum(p.values.size for p in self.parameters())
-
-    def _run_tower(self, tower, x, graph):
-        b, t, v, c = x.shape
-        flat = ad.reshape(x, (b, t * v, c))
-        out = tower.forward(flat, graph)
-        return ad.reshape(out, (b, t, v, 3))
 
     def forward(self, x):
         """x: [batch, T, V, 3] observed frames -> ForecastOutput."""
@@ -153,11 +155,11 @@ class ForecastModel:
                 f"V={self.joint_count})"
             )
         x_in = ad.constant(x)
-        v_out = self._run_tower(self.v_tower, x_in, self.input_graph)
+        v_out = self.v_tower.forward(x_in, self.input_graph)
         z = self._mix(v_out, x_in, x)
         aligned = temporal_align(z, self.tcn)
         if self.refine_tower is not None:
-            correction = self._run_tower(self.refine_tower, aligned, self.output_graph)
+            correction = self.refine_tower.forward(aligned, self.output_graph)
             aligned = ad.add(aligned, correction)
         return ForecastOutput(predictions=aligned, intermediate=z)
 
@@ -171,11 +173,11 @@ class ForecastModel:
         # "plain" is "anchor" with every frame an anchor and no causal mask.
         causal = cfg.strategy == "anchor"
         n_a = cfg.anchor_count if causal else None
-        q = self._run_tower(self.q_tower, x_in, self.input_graph)
-        key = self._run_tower(self.k_tower, x_in, self.input_graph)
-        mix = attn.score_matrix(q, key, anchor_count=n_a, causal=causal)
+        q = self.q_tower.forward(x_in, self.input_graph)
+        key = self.k_tower.forward(x_in, self.input_graph)
+        weights = attn.score_matrix(q, key, anchor_count=n_a, causal=causal)
         anchors = v_out if n_a is None else ad.tail(v_out, cfg.input_frames - n_a)
-        return attn.anchor_combination(mix, anchors)
+        return attn.anchor_combination(weights, anchors)
 
     def predict(self, x):
         """Forward pass without recording a graph; returns plain arrays."""
@@ -201,20 +203,24 @@ def temporal_align(z, tcn):
     return ad.reshape(out, (b, tcn.shape[0], v, c))
 
 
-def _named_parameters(model):
-    named = []
-    for i, w in enumerate(model.v_tower.parameters()):
-        named.append((f"v_tower.{i}", w))
-    if model.q_tower is not None:
-        for i, w in enumerate(model.q_tower.parameters()):
-            named.append((f"q_tower.{i}", w))
-        for i, w in enumerate(model.k_tower.parameters()):
-            named.append((f"k_tower.{i}", w))
-    named.append(("tcn", model.tcn))
-    if model.refine_tower is not None:
-        for i, w in enumerate(model.refine_tower.parameters()):
-            named.append((f"refine_tower.{i}", w))
-    return named
+def parameter_shapes(config):
+    """Yield (name, shape) of every parameter, in checkpoint order.
+
+    Towers hold D+1 weights per layer, one per hop partition, numbered
+    layer by layer. Lazy, since the length grows with max_hop.
+    """
+    yield from _tower_shapes("v_tower", config.value_schedule, config.max_hop)
+    if config.strategy in ("anchor", "plain"):
+        yield from _tower_shapes("q_tower", config.qk_schedule, config.max_hop)
+        yield from _tower_shapes("k_tower", config.qk_schedule, config.max_hop)
+    yield "tcn", (config.output_frames, config.input_frames)
+    if config.refine:
+        yield from _tower_shapes("refine_tower", config.value_schedule, config.max_hop)
+
+
+def _tower_shapes(tower, schedule, max_hop):
+    shapes = (shape for shape in zip(schedule, schedule[1:]) for _ in range(max_hop + 1))
+    return ((f"{tower}.{i}", shape) for i, shape in enumerate(shapes))
 
 
 def _pack_field(code, value):
@@ -243,7 +249,6 @@ def save_checkpoint(path, model):
     """Flat little-endian container: header then named float64 blocks."""
     cfg = model.config
     edges = sorted(tuple(sorted(e)) for e in model.skeleton.edges)
-    named = _named_parameters(model)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<BI", CHECKPOINT_VERSION, model.joint_count))
         for name, code in HEADER_FIELDS:
@@ -251,8 +256,8 @@ def save_checkpoint(path, model):
         f.write(struct.pack("<I", len(edges)))
         for a, b in edges:
             f.write(struct.pack("<II", a, b))
-        f.write(struct.pack("<I", len(named)))
-        for name, tensor in named:
+        f.write(struct.pack("<I", len(model.params)))
+        for name, tensor in model.params.items():
             f.write(_pack_field("s", name))
             f.write(_pack_field("I*", tensor.values.shape))
             f.write(tensor.values.astype("<f8").tobytes())
@@ -272,24 +277,30 @@ def load_checkpoint(path):
     v, = r.take("<I", "joint count")
     fields = {name: _read_field(r, code, name) for name, code in HEADER_FIELDS}
     fields["anchor_count"] = fields["anchor_count"] or None
+    try:
+        config = ModelConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint header (bytes 0–{r.offset - 1}): {exc}") from exc
     n_edges, = r.take("<I", "edge count")
     edges = [r.take("<II", "edge") for _ in range(n_edges)]
     n_params, = r.take("<I", "parameter block count")
 
-    config = ModelConfig(**fields)
     # Check the sizes the header declares against the bytes left, before
     # the model allocates them. A connected skeleton has V - 1 edges.
     if v > n_edges + 1:
         raise ValueError(f"joint count V={v} needs {v - 1} skeleton edges, file has {n_edges}")
-    t, k, vs = config.input_frames, config.output_frames, config.value_schedule
-    r.need(8 * t * k, f"tcn block of input_frames={t} x output_frames={k}")
-    # Every weight block also stores its name length, rank and two dimensions.
-    r.need((config.max_hop + 1) * sum(16 + 8 * a * b for a, b in zip(vs, vs[1:])),
-           f"value tower of max_hop={config.max_hop}")
+    # Each block stores at least a name length and a rank, so the file
+    # bounds the block count, and the count bounds how much of the table
+    # (whose length grows with max_hop) is built.
+    r.need(8 * n_params, f"parameter block count {n_params}")
+    shapes = list(itertools.islice(parameter_shapes(config), n_params + 1))
+    if len(shapes) != n_params:
+        expected = len(shapes) if len(shapes) < n_params else "more"
+        raise ValueError(f"checkpoint holds {n_params} blocks, model expects {expected}")
+    r.need(sum(8 + len(name) + 4 * len(shape) + 8 * math.prod(shape) for name, shape in shapes),
+           "parameter blocks")
     model = ForecastModel(SkeletonGraph(joint_count=v, edges=frozenset(edges)), config)
-    blocks = dict(_named_parameters(model))
-    if n_params != len(blocks):
-        raise ValueError(f"checkpoint holds {n_params} blocks, model expects {len(blocks)}")
+    blocks = dict(model.params)
     for _ in range(n_params):
         start = r.offset
         name = r.text("parameter name", "ascii")

@@ -8,13 +8,12 @@ convention for per-horizon columns), averaged over windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
-from .model import _named_parameters
 
 __all__ = [
     "TrainConfig",
@@ -76,7 +75,6 @@ class EpochRecord:
 @dataclass
 class EvalReport:
     horizons: dict                     # frame offset -> mean error
-    per_action: dict = field(default_factory=dict)
 
     def format_table(self, extra_rows=None):
         """Plain-text table: one column per horizon, one row per entry."""
@@ -85,9 +83,6 @@ class EvalReport:
         lines.append("model    " + "  ".join(f"{self.horizons[h]:8.3f}" for h in offsets))
         for label, values in (extra_rows or {}).items():
             lines.append(f"{label:<8} " + "  ".join(f"{values[h]:8.3f}" for h in offsets))
-        for action in sorted(self.per_action):
-            vals = self.per_action[action]
-            lines.append(f"{action:<8} " + "  ".join(f"{vals[h]:8.3f}" for h in offsets))
         return "\n".join(lines)
 
 
@@ -149,7 +144,7 @@ def train(model, windows, config):
             value = loss.item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
-                                  for name, p in _named_parameters(model))
+                                  for name, p in model.params.items())
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"

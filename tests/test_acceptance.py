@@ -24,7 +24,7 @@ from posecast.layers import GraphConvTower
 from posecast.model import ModelConfig, build_model
 from posecast.training import TrainConfig, baseline_report, evaluate, train
 
-from test_graphs import floyd_warshall, random_connected_graph
+from test_graphs import floyd_warshall, random_connected_graph, raw_operators
 
 
 def report(num, name, passed):
@@ -56,7 +56,7 @@ def test_02_five_frame_span_one_operators_are_block_tridiagonal():
     partition = build_hop_partition(chain(v), max_hop=2)
     mg = build_multigraph(partition, frame_count=frames, span=1)
     ok = True
-    for raw, layer in zip(mg.raw_operators, partition.layers):
+    for raw, layer in zip(raw_operators(mg), partition.layers):
         for t1 in range(frames):
             for t2 in range(frames):
                 block = raw[t1 * v:(t1 + 1) * v, t2 * v:(t2 + 1) * v]
@@ -100,7 +100,7 @@ def test_05_convex_combination_semantics():
     key = ad.constant(rng.normal(size=(2, t, v, 3)))
     anchors = rng.normal(size=(2, t, v, 3))
     mix = score_matrix(q, key)
-    weights = mix.weights.values
+    weights = mix.values
     rows_ok = np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-9
     nonneg = (weights >= 0).all()
     out = anchor_combination(mix, ad.constant(anchors)).values
@@ -132,16 +132,17 @@ def test_07_receptive_field_is_layers_times_span():
     rng = np.random.default_rng(7)
     frames, span, v = 10, 1, 4
     graph = build_multigraph(build_hop_partition(chain(v), 1), frames, span)
-    tower = GraphConvTower((3, 6, 3), num_partitions=2, rng=rng)
+    # Schedule (3, 6, 3) over 2 hop partitions: two weights per layer.
+    shapes = [(3, 6), (3, 6), (6, 3), (6, 3)]
+    tower = GraphConvTower([ad.parameter(None, rng=rng, shape=s) for s in shapes],
+                           num_partitions=2)
     n_layers = len(tower.layers)
 
     x = rng.normal(size=(1, frames, v, 3))
-    base = tower.forward(ad.constant(x.reshape(1, -1, 3)), graph).values
+    base4 = tower.forward(ad.constant(x), graph).values
     perturbed = x.copy()
     perturbed[:, -1] += 50.0
-    out = tower.forward(ad.constant(perturbed.reshape(1, -1, 3)), graph).values
-    base4 = base.reshape(1, frames, v, 3)
-    out4 = out.reshape(1, frames, v, 3)
+    out4 = tower.forward(ad.constant(perturbed), graph).values
     far = frames - 1 - n_layers * span
     unaffected = np.array_equal(out4[:, :far], base4[:, :far])
     affected = not np.array_equal(out4[:, far:], base4[:, far:])

@@ -63,7 +63,7 @@ class TestScoreMatrix:
         q = ad.constant(np.zeros((1, t, 4, 3)))
         k = ad.constant(np.zeros((1, t, 4, 3)))
         mix = score_matrix(q, k)
-        w = mix.weights.values[0, 0]
+        w = mix.values[0, 0]
         for i in range(t):
             expected = np.zeros(t)
             expected[: i + 1] = 1.0 / (i + 1)
@@ -75,12 +75,12 @@ class TestScoreMatrix:
         mix = score_matrix(
             rand(rng, 1, t, 5, 3), rand(rng, 1, t, 5, 3), anchor_count=1, causal=False,
         )
-        assert np.array_equal(mix.weights.values, np.ones((1, 3, t, 1)))
+        assert np.array_equal(mix.values, np.ones((1, 3, t, 1)))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         mix = score_matrix(rand(rng, 2, 6, 4, 3), rand(rng, 2, 6, 4, 3))
-        sums = mix.weights.values.sum(axis=-1)
+        sums = mix.values.sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_causal_mask_includes_diagonal(self):
@@ -112,10 +112,7 @@ class TestAnchorCombination:
         corners = np.zeros((1, 2, 1, 3))
         corners[0, 1, 0] = [2.0, 4.0, 6.0]
         weights = ad.constant(np.full((1, 3, 1, 2), 0.5))
-        from posecast.attention import MixMatrix
-
-        mix = MixMatrix(weights=weights, mask=np.ones((1, 2), dtype=bool))
-        out = anchor_combination(mix, ad.constant(corners))
+        out = anchor_combination(weights, ad.constant(corners))
         assert np.allclose(out.values[0, 0, 0], [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_outputs_stay_in_anchor_bounding_box(self):

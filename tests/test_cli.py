@@ -171,6 +171,9 @@ def bad_inputs(run_config, tmp_path):
     blob = ckpt.read_bytes()
     (tmp_path / "truncated.pckp").write_bytes(blob[:-9])
     (tmp_path / "padded.pckp").write_bytes(blob + b"junk")
+    bad_span = bytearray(blob)
+    bad_span[17] = 0xFF                 # bytes 17-20 hold the span L
+    (tmp_path / "span.pckp").write_bytes(bad_span)
     (tmp_path / "bad.mgps").write_bytes(b"XXXX" + bytes(40))
     save_sequences(tmp_path / "wide.mgps", [synth_kinematic(5, frames=30, period=6)])
 
@@ -181,7 +184,7 @@ def bad_inputs(run_config, tmp_path):
         return ["train", str(path)]
 
     inputs = {name: str(tmp_path / name)
-              for name in ("model.pckp", "truncated.pckp", "padded.pckp",
+              for name in ("model.pckp", "truncated.pckp", "padded.pckp", "span.pckp",
                            "bad.mgps", "wide.mgps", "nope.mgps")}
     inputs["poses.mgps"] = config["dataset"]
     inputs["train_with"] = train_with
@@ -219,6 +222,8 @@ MALFORMED = {
                                   "truncated checkpoint at byte"),
     "eval_checkpoint_trailing_bytes": (_eval("padded.pckp", "poses.mgps"),
                                        "4 trailing bytes"),
+    "eval_checkpoint_bad_span": (_eval("span.pckp", "poses.mgps"),
+                                 "checkpoint header (bytes 0–"),
 }
 
 
@@ -256,13 +261,14 @@ def test_graph_dump_round_trip(tmp_path):
     assert code == 0
     from posecast.graphs import build_hop_partition, build_multigraph
     from posecast.data import skeleton_preset
+    from test_graphs import kron_operators, raw_operators
 
     mg = build_multigraph(build_hop_partition(skeleton_preset("chain_13"), 1), 5, 1)
     for k in (0, 1):
         pre, header = read_operator(out / f"operator_k{k}_pre.txt")
-        assert np.array_equal(pre, mg.raw_operators[k])
+        assert np.array_equal(pre, raw_operators(mg)[k])
         post, _ = read_operator(out / f"operator_k{k}_post.txt")
-        assert np.array_equal(post, mg.operators[k])
+        assert np.array_equal(post, kron_operators(mg)[k])
     # Fig-style support check: blocks beyond one frame apart are zero
     v = 13
     pre, _ = read_operator(out / "operator_k1_pre.txt")

@@ -99,6 +99,23 @@ class TestContainerFormat:
         with pytest.raises(PoseFormatError, match="finite"):
             PoseSequence(frames=frames)
 
+    def test_nonfinite_record_scanned_once_and_named(self, tmp_path, monkeypatch):
+        first = PoseSequence(frames=np.ones((2, 2, 3)), label="a")
+        path = tmp_path / "poses.mgps"
+        save_sequences(path, [first, PoseSequence(frames=np.ones((3, 2, 3)))])
+        scans = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.shape(a)) or real(a))
+        assert len(load_sequences(path)) == 2
+        assert scans == [(2, 2, 3), (3, 2, 3)]
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(blob)
+        second = 5 + 20 + len(first.label) + 8 * first.frames.size
+        with pytest.raises(PoseFormatError,
+                           match=f"non-finite pose coordinate in record at byte {second}"):
+            load_sequences(path)
+
 
 class TestCsvImport:
     def test_basic_table(self, tmp_path):

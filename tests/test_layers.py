@@ -9,6 +9,8 @@ from posecast.graphs import SkeletonGraph, build_hop_partition, build_multigraph
 from posecast.layers import GraphConvLayer, GraphConvTower
 from posecast.model import ModelConfig, build_model
 
+from test_graphs import kron_operators
+
 
 def chain(n):
     return SkeletonGraph(joint_count=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
@@ -22,9 +24,18 @@ def single_node_graph():
     return multigraph(SkeletonGraph(joint_count=1, edges=frozenset()), 1, 0, 0)
 
 
+def glorot(rng, c_in, c_out, n):
+    """n weights of one layer, drawn as the model draws them."""
+    return [ad.parameter(None, rng=rng, shape=(c_in, c_out)) for _ in range(n)]
+
+
+def tower_weights(rng, schedule, n):
+    return [w for c_in, c_out in zip(schedule, schedule[1:]) for w in glorot(rng, c_in, c_out, n)]
+
+
 def test_identity_layer_reproduces_input():
     rng = np.random.default_rng(0)
-    layer = GraphConvLayer(3, 3, num_partitions=1, rng=rng, apply_activation=False)
+    layer = GraphConvLayer(glorot(rng, 3, 3, 1), activation=False)
     layer.weights[0].values[...] = np.eye(3)
     h = ad.constant(rng.normal(size=(2, 1, 3)))
     out = layer.forward(h, single_node_graph())
@@ -34,7 +45,7 @@ def test_identity_layer_reproduces_input():
 def test_zero_weights_give_zero_output():
     rng = np.random.default_rng(1)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    layer = GraphConvLayer(3, 5, num_partitions=2, rng=rng, zero_init=True)
+    layer = GraphConvLayer([ad.parameter(np.zeros((3, 5))) for _ in range(2)], activation=True)
     h = ad.constant(rng.normal(size=(2, 8, 3)))
     out = layer.forward(h, g)
     assert np.array_equal(out.values, np.zeros((2, 8, 5)))
@@ -43,12 +54,13 @@ def test_zero_weights_give_zero_output():
 def test_two_node_layer_matches_hand_assembly():
     rng = np.random.default_rng(2)
     g = multigraph(chain(2), frames=1, span=0, max_hop=1)
-    layer = GraphConvLayer(3, 4, num_partitions=2, rng=rng, apply_activation=False)
+    layer = GraphConvLayer(glorot(rng, 3, 4, 2), activation=False)
     h = rng.normal(size=(1, 2, 3))
     out = layer.forward(ad.constant(h), g)
+    a = kron_operators(g)
     expected = (
-        g.operators[0] @ h @ layer.weights[0].values
-        + g.operators[1] @ h @ layer.weights[1].values
+        a[0] @ h @ layer.weights[0].values
+        + a[1] @ h @ layer.weights[1].values
     )
     assert np.allclose(out.values, expected, atol=1e-12)
 
@@ -56,7 +68,7 @@ def test_two_node_layer_matches_hand_assembly():
 def test_node_count_mismatch():
     rng = np.random.default_rng(3)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    layer = GraphConvLayer(3, 3, num_partitions=2, rng=rng)
+    layer = GraphConvLayer(glorot(rng, 3, 3, 2), activation=True)
     with pytest.raises(DimensionError):
         layer.forward(ad.constant(np.zeros((1, 5, 3))), g)
 
@@ -66,27 +78,30 @@ class TestTower:
         rng = np.random.default_rng(4)
         skeleton = chain(22)
         g = multigraph(skeleton, frames=10, span=2, max_hop=2)
-        tower = GraphConvTower((3, 64, 32, 64, 3), num_partitions=3, rng=rng)
-        out = tower.forward(ad.constant(rng.normal(size=(2, 220, 3))), g)
-        assert out.shape == (2, 220, 3)
+        tower = GraphConvTower(tower_weights(rng, (3, 64, 32, 64, 3), 3), num_partitions=3)
+        out = tower.forward(ad.constant(rng.normal(size=(2, 10, 22, 3))), g)
+        assert out.shape == (2, 10, 22, 3)
 
     def test_qk_schedule_yields_five_layers(self):
         rng = np.random.default_rng(5)
-        tower = GraphConvTower((3, 64, 32, 16, 16, 3), num_partitions=2, rng=rng)
+        tower = GraphConvTower(tower_weights(rng, (3, 64, 32, 16, 16, 3), 2), num_partitions=2)
         assert len(tower.layers) == 5
 
     def test_one_layer_identity_tower(self):
         rng = np.random.default_rng(6)
-        tower = GraphConvTower((3, 3), num_partitions=1, rng=rng)
+        tower = GraphConvTower(tower_weights(rng, (3, 3), 1), num_partitions=1)
         tower.layers[0].weights[0].values[...] = np.eye(3)
-        h = ad.constant(rng.normal(size=(1, 1, 3)))
+        h = ad.constant(rng.normal(size=(1, 1, 1, 3)))
         out = tower.forward(h, single_node_graph())
         assert np.allclose(out.values, h.values, atol=1e-15)
 
     def test_schedule_must_start_and_end_at_three(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            GraphConvTower((3, 8, 4), num_partitions=1, rng=rng)
+        # Tower shapes come from the config, so the config checks the schedule.
+        for schedule in ((3, 8, 4), (4, 8, 3), (3,)):
+            with pytest.raises(ValueError, match=r"value_schedule .* got"):
+                ModelConfig(input_frames=2, output_frames=2, value_schedule=schedule)
+            with pytest.raises(ValueError, match=r"qk_schedule .* got"):
+                ModelConfig(input_frames=2, output_frames=2, qk_schedule=schedule)
 
     def test_joint_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -100,19 +115,17 @@ class TestTower:
         g1 = multigraph(skeleton, frames=3, span=1, max_hop=2)
         g2 = multigraph(permuted_skeleton, frames=3, span=1, max_hop=2)
 
-        tower_a = GraphConvTower((3, 8, 3), num_partitions=3,
-                                 rng=np.random.default_rng(99))
-        tower_b = GraphConvTower((3, 8, 3), num_partitions=3,
-                                 rng=np.random.default_rng(99))
+        tower_a = GraphConvTower(tower_weights(np.random.default_rng(99), (3, 8, 3), 3),
+                                 num_partitions=3)
+        tower_b = GraphConvTower(tower_weights(np.random.default_rng(99), (3, 8, 3), 3),
+                                 num_partitions=3)
 
         x = rng.normal(size=(1, 3, v, 3))
         x_perm = np.empty_like(x)
         x_perm[:, :, perm] = x
 
-        out_a = tower_a.forward(ad.constant(x.reshape(1, 15, 3)), g1)
-        out_b = tower_b.forward(ad.constant(x_perm.reshape(1, 15, 3)), g2)
-        out_a4 = out_a.values.reshape(1, 3, v, 3)
-        out_b4 = out_b.values.reshape(1, 3, v, 3)
+        out_a4 = tower_a.forward(ad.constant(x), g1).values
+        out_b4 = tower_b.forward(ad.constant(x_perm), g2).values
         assert np.allclose(out_b4[:, :, perm], out_a4, atol=1e-10)
 
     def test_temporal_receptive_field_bound(self):
@@ -121,16 +134,14 @@ class TestTower:
         frames, span = 8, 1
         skeleton = chain(3)
         g = multigraph(skeleton, frames=frames, span=span, max_hop=1)
-        tower = GraphConvTower((3, 6, 3), num_partitions=2, rng=rng)
+        tower = GraphConvTower(tower_weights(rng, (3, 6, 3), 2), num_partitions=2)
         n_layers = len(tower.layers)
 
         x = rng.normal(size=(1, frames, 3, 3))
-        base = tower.forward(ad.constant(x.reshape(1, -1, 3)), g).values
+        base4 = tower.forward(ad.constant(x), g).values
         perturbed = x.copy()
         perturbed[:, -1] += 100.0   # perturb the last frame
-        out = tower.forward(ad.constant(perturbed.reshape(1, -1, 3)), g).values
-        base4 = base.reshape(1, frames, 3, 3)
-        out4 = out.reshape(1, frames, 3, 3)
+        out4 = tower.forward(ad.constant(perturbed), g).values
         far = frames - 1 - n_layers * span
         assert np.array_equal(out4[:, :far], base4[:, :far])
         # and the frame next to the perturbation does change
@@ -139,9 +150,9 @@ class TestTower:
     def test_weight_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         g = multigraph(chain(3), frames=2, span=1, max_hop=1)
-        tower = GraphConvTower((3, 4, 3), num_partitions=2, rng=rng)
-        x = ad.constant(rng.normal(size=(2, 6, 3)))
-        params = tower.parameters()
+        params = tower_weights(rng, (3, 4, 3), 2)
+        tower = GraphConvTower(params, num_partitions=2)
+        x = ad.constant(rng.normal(size=(2, 2, 3, 3)))
         err = check_gradients(
             lambda: ad.tensor_sum(ad.mul(o := tower.forward(x, g), o)), params
         )
@@ -155,8 +166,7 @@ class TestFactoredGraphConv:
     def test_matches_dense_reference_and_its_gradients(self, c_in, c_out):
         rng = np.random.default_rng(11)
         g = multigraph(chain(4), frames=3, span=1, max_hop=3)
-        layer = GraphConvLayer(c_in, c_out, num_partitions=4, rng=rng,
-                               apply_activation=False)
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=False)
         h = ad.parameter(rng.normal(size=(2, g.node_count, c_in)))
         target = rng.normal(size=(2, g.node_count, c_out))
 
@@ -167,7 +177,7 @@ class TestFactoredGraphConv:
             return [p.grad for p in [h, *layer.weights]]
 
         dense = None
-        for a_k, w_k in zip(g.operators, layer.weights):
+        for a_k, w_k in zip(kron_operators(g), layer.weights):
             term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
             dense = term if dense is None else ad.add(dense, term)
         expected, expected_grads = dense.values, grads(dense)
@@ -180,7 +190,7 @@ class TestFactoredGraphConv:
     def test_repeated_calls_are_bit_identical(self, c_in, c_out):
         rng = np.random.default_rng(12)
         g = multigraph(chain(6), frames=4, span=2, max_hop=2)
-        layer = GraphConvLayer(c_in, c_out, num_partitions=3, rng=rng)
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 3), activation=True)
         x = rng.normal(size=(3, g.node_count, c_in))
         runs = []
         for _ in range(2):
@@ -197,10 +207,10 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(13)
         g = multigraph(chain(4), frames=2, span=1, max_hop=1)
         with pytest.raises(DimensionError):
-            GraphConvLayer(4, 3, num_partitions=2, rng=rng).forward(
+            GraphConvLayer(glorot(rng, 4, 3, 2), activation=True).forward(
                 ad.constant(np.zeros((1, 8, 3))), g)
         with pytest.raises(DimensionError):
-            GraphConvLayer(3, 3, num_partitions=3, rng=rng).forward(
+            GraphConvLayer(glorot(rng, 3, 3, 3), activation=True).forward(
                 ad.constant(np.zeros((1, 8, 3))), g)
 
 

@@ -1,4 +1,8 @@
 import dataclasses
+import hashlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from posecast.model import (
     ModelConfig,
     build_model,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
     temporal_align,
 )
@@ -101,7 +106,7 @@ class TestForward:
         out = model.forward(x)
         # recompute the anchors (value-tower output) and check bounds
         x_in = ad.constant(x)
-        anchors = model._run_tower(model.v_tower, x_in, model.input_graph).values
+        anchors = model.v_tower.forward(x_in, model.input_graph).values
         lo = anchors.min(axis=1, keepdims=True)
         hi = anchors.max(axis=1, keepdims=True)
         z = out.intermediate.values
@@ -187,6 +192,29 @@ class TestParameterCount:
         total = sum(int(np.prod(p.values.shape)) for p in model.parameters())
         assert model.count_parameters() == total
 
+    @pytest.mark.parametrize("strategy", ["anchor", "plain", "pseudo_autoregressive", "none"])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_table_is_the_model_layout(self, strategy, refine):
+        config = tiny_config(strategy=strategy, refine=refine, max_hop=2,
+                             value_schedule=(3, 5, 4, 3))
+        model = build_model(skeleton_preset("chain_4"), config)
+        table = list(parameter_shapes(config))
+        assert table == [(name, p.shape) for name, p in model.params.items()]
+        assert model.parameters() == list(model.params.values())
+        # D+1 = 3 weights per layer, numbered layer by layer.
+        assert [name for name, _ in table[:9]] == [f"v_tower.{i}" for i in range(9)]
+        assert [shape for _, shape in table[:9]] == [(3, 5)] * 3 + [(5, 4)] * 3 + [(4, 3)] * 3
+        towers = [name.split(".")[0] for name, _ in table]
+        has_qk = strategy in ("anchor", "plain")
+        assert ("q_tower" in towers, "k_tower" in towers) == (has_qk, has_qk)
+        assert ("refine_tower" in towers) == refine
+        assert towers.index("tcn") == len(towers) - 1 - (9 if refine else 0)
+        assert dict(table)["tcn"] == (2, 3)
+
+    def test_table_is_lazy(self):
+        table = parameter_shapes(tiny_config(max_hop=2**40))
+        assert next(table) == ("v_tower.0", (3, 4))
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -261,6 +289,86 @@ class TestCheckpoint:
                 path.write_bytes(corrupt)
                 with pytest.raises(ValueError):
                     load_checkpoint(path)
+
+    # sha256 of save_checkpoint output for freshly built models; the file
+    # format and the seeded initialization must not drift.
+    GOLDEN = {
+        "chain4_anchor_ac2": (
+            "chain_4", dict(strategy="anchor", anchor_count=2),
+            "d2282d3a96a0bcabb1040f5155a7e0a7b95f9c4ae52b497bcda2af74bbcba8d0"),
+        "chain4_plain": (
+            "chain_4", dict(strategy="plain"),
+            "8460f817e5c8832c0348f8251b3bcc3f117fa0ef1742ec9ce9d0cc5442c2d596"),
+        "chain4_plain_ac2": (
+            "chain_4", dict(strategy="plain", anchor_count=2),
+            "557de7262a511c43c7d4a0b450f0118d523af4043d4c1f6742816b2ab5485ba7"),
+        "chain8_pa": (
+            "chain_8", dict(input_frames=10, output_frames=10, span=1, max_hop=1,
+                            strategy="pseudo_autoregressive"),
+            "546441989a4a0020fbcff47069883c371d9ed42748f9a3af088457fe2a89a1cc"),
+        "h36m22_anchor": (
+            "h36m22", dict(input_frames=10, output_frames=10, span=2, max_hop=3),
+            "be361eea478e14c83686f4b6a04b0ad9c814f1cdc6a0ec75cec461ef6ee1d259"),
+        "h36m22_none": (
+            "h36m22", dict(input_frames=10, output_frames=10, span=2, max_hop=3,
+                           strategy="none", refine=False),
+            "88467067dd3e4a9a23e728fd41359c9b83b001a1c8f0e07229c512030d6ef676"),
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_bytes_match_golden_digest(self, tmp_path, case):
+        preset, fields, digest = self.GOLDEN[case]
+        if preset == "chain_4":
+            config = tiny_config(**fields)
+        else:
+            config = ModelConfig(**fields)
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset(preset), config))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field, value", [
+        ("span", 0xFF),                   # span 255 >= max(T, K)
+        ("value_schedule", 4),            # schedule (4, 4, 3)
+    ])
+    def test_config_error_names_checkpoint_header(self, tmp_path, field, value):
+        config = tiny_config()
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), config))
+        blob = bytearray(path.read_bytes())
+        # Bytes 17-20 hold L; the first value_schedule width follows
+        # D, strategy, anchor_count, refine, seed and the width count.
+        offset = {"span": 17,
+                  "value_schedule": 25 + 4 + len(config.strategy) + 4 + 1 + 8 + 4}[field]
+        blob[offset] = value
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=rf"checkpoint header \(bytes 0–\d+\): {field}"):
+            load_checkpoint(path)
+
+    def test_corrupt_qk_width_rejected_before_building(self, tmp_path):
+        # Byte 75 is the top byte of the second qk_schedule width: 0x7F
+        # asks for q/k towers of width 2,130,706,436. Load in a child whose
+        # address space is capped at 2 GiB, so an allocation fails there
+        # rather than exhausting the machine.
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"),
+                                          tiny_config(strategy="anchor")))
+        blob = bytearray(path.read_bytes())
+        assert blob[72:76] == (4).to_bytes(4, "little")
+        blob[75] = 0x7F
+        path.write_bytes(blob)
+        child = textwrap.dedent(f"""
+            import resource, sys
+            from posecast.model import load_checkpoint
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            try:
+                load_checkpoint({str(path)!r})
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """)
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("ValueError truncated checkpoint at byte"), run.stdout
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pckp"
