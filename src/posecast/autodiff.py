@@ -16,6 +16,7 @@ Broadcasting is supported over leading batch dimensions only.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
@@ -45,6 +46,26 @@ __all__ = [
     "AdamState",
     "adam_step",
 ]
+
+
+def _tune_allocator():
+    """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse.
+
+    Sets M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to
+    256 MiB; returns whether both took. Does nothing without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    except (OSError, AttributeError, TypeError):
+        return False
+    # By default every large temporary is a fresh mmap, zeroed and faulted
+    # in page by page on each step, then unmapped on free.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20)])
+
+
+_allocator_tuned = _tune_allocator()
 
 
 class DimensionError(ValueError):
@@ -281,9 +302,17 @@ def tanh(a):
         return Tensor(out_values)
 
     def backward(grad):
-        _accumulate(a, grad * (1.0 - out_values * out_values), True)
+        _accumulate(a, _tanh_grad(out_values, grad), True)
 
     return Tensor(out_values, _inputs=(a,), _backward=backward)
+
+
+def _tanh_grad(y, grad):
+    """grad * (1 - y*y) for y = tanh(x), formed in place in one new array."""
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    d *= grad
+    return d
 
 
 def sqrt(a):
@@ -405,20 +434,26 @@ def _apply_band(band, x):
     return (band @ x.reshape(b, t, v * c)).reshape(b, t, v, c)
 
 
-def graph_conv(h, weights, band, hops):
-    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k].
+def graph_conv(h, weights, band, hops, activation=False):
+    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k], then
+    tanh if ``activation`` is set.
 
     h: [..., T*V, C_in] with node (frame t, joint v) at row t * V + v;
     weights: D+1 tensors [C_in, C_out]; band: [T, T]; hops: [D+1, V, V].
     The (VT)^2 operators are never formed: the band acts on the frame
-    axis and each hop on the joint axis.
+    axis and the hops on the joint axis.
 
-    Hops act on the narrower channel side: on h when C_in < C_out (all
-    stacked into one matrix if (D+1) * C_in <= C_out, else one at a
-    time), otherwise on each product h @ W_k. Terms are summed in place
-    and dropped once added, which keeps inference memory low; the band
-    is applied once, to the sum. Backward applies the transposed band,
-    then all hops stacked, so each gradient takes one weight product.
+    All hops go into one stacked product on the narrower channel side.
+    When C_in < C_out they act on h, giving z = [B*T*V, (D+1)*C_in], then
+    one product with the stacked weights; z is kept for the weight
+    gradient. Otherwise one product h @ [W_0 ... W_D] comes first, then
+    the stacked hops. The band is applied once, to the sum. Backward
+    applies the transposed band, then all hops stacked, so each gradient
+    takes one weight product.
+
+    tanh runs in place on the output, and backward forms its derivative
+    1 - y^2 in place from that output, so no pre-activation array is
+    kept.
     """
     t, v = band.shape[0], hops.shape[-1]
     k_count = len(weights)
@@ -439,41 +474,38 @@ def graph_conv(h, weights, band, hops):
     x = h.values.reshape(-1, t, v, c_in)
     b = x.shape[0]
     hops_first = c_in < c_out
-    group = k_count if hops_first and k_count * c_in <= c_out else 1
-
-    def term(k):
-        if hops_first:
-            ks = slice(k, k + group)
-            z = (_stack_hops(hops[ks]) @ x).reshape(b * n, group * c_in)
-            return z @ w[ks].reshape(group * c_in, c_out)
-        p = (x.reshape(b * n, c_in) @ w[k]).reshape(b, t, v, c_out)
-        return (hops[k] @ p).reshape(b * n, c_out)
-
-    # No name holds a finished term, so it is freed before the next one
-    # is computed; eval's peak RSS depends on it.
-    s = term(0)
-    for k in range(group, k_count, group):
-        s += term(k)
+    if hops_first:
+        stacked = _stack_hops(hops)
+        z = (stacked @ x).reshape(b * n, k_count * c_in)
+        s = z @ w.reshape(k_count * c_in, c_out)
+    else:
+        # Row j * (D+1) + k is column j of hops[k].
+        stacked = _stack_hops(np.swapaxes(hops, 1, 2))
+        p = x.reshape(b * n, c_in) @ w.transpose(1, 0, 2).reshape(c_in, k_count * c_out)
+        s = stacked.T @ p.reshape(b, t, v * k_count, c_out)
+        del p                   # D+1 outputs' worth, not needed by the band product
     out_values = _apply_band(band, s.reshape(b, t, v, c_out)).reshape(*lead, n, c_out)
+    if activation:
+        np.tanh(out_values, out=out_values)
     if not _needs_graph(h, *weights):
         return Tensor(out_values)
     h_live = _live(h)
     w_live = any(_live(w_k) for w_k in weights)
 
     def backward(grad):
+        if activation:
+            grad = _tanh_grad(out_values, grad)
         g = _apply_band(band.T, grad.reshape(b, t, v, c_out))
         if hops_first:
-            # z: all hops applied to x, [B*T*V, (D+1) * C_in].
             g = g.reshape(b * n, c_out)
             if w_live:
-                z = (_stack_hops(hops) @ x).reshape(b * n, k_count * c_in)
                 dw = (z.T @ g).reshape(k_count, c_in, c_out)
             if h_live:
                 dz = g @ w.reshape(k_count * c_in, c_out).T
-                dx = _stack_hops(hops).T @ dz.reshape(b, t, v * k_count, c_in)
+                dx = stacked.T @ dz.reshape(b, t, v * k_count, c_in)
         else:
             # dp: all transposed hops applied to g, [B*T*V, (D+1) * C_out].
-            dp = (_stack_hops(np.swapaxes(hops, 1, 2)) @ g).reshape(b * n, k_count * c_out)
+            dp = (stacked @ g).reshape(b * n, k_count * c_out)
             if w_live:
                 dw = (x.reshape(b * n, c_in).T @ dp).reshape(c_in, k_count, c_out)
                 dw = dw.transpose(1, 0, 2)

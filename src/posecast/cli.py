@@ -199,6 +199,7 @@ def cmd_gradcheck(args):
 
 def cmd_graph_dump(args):
     skeleton = data_io.skeleton_preset(args.skeleton)
+    graphs.check_max_hop(skeleton.joint_count, args.max_hop)
     partition = graphs.build_hop_partition(skeleton, args.max_hop)
     multigraph = graphs.build_multigraph(partition, args.frames, args.span)
     os.makedirs(args.out, exist_ok=True)

@@ -135,12 +135,13 @@ def _check_graph_conv():
     for c_in, c_out in ((3, 4), (4, 3)):
         h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
         weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
-        err = check_gradients(
-            lambda: ad.tensor_sum(ad.mul(
-                o := ad.graph_conv(h, weights, graph.band, graph.hops), o)),
-            [h, *weights],
-        )
-        worst = max(worst, err)
+        for activation in (False, True):
+            err = check_gradients(
+                lambda: ad.tensor_sum(ad.mul(
+                    o := ad.graph_conv(h, weights, graph.band, graph.hops, activation), o)),
+                [h, *weights],
+            )
+            worst = max(worst, err)
     return worst
 
 

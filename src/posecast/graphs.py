@@ -31,6 +31,7 @@ __all__ = [
     "PartitionedMultiGraph",
     "ConnectivityError",
     "hop_distances",
+    "check_max_hop",
     "build_hop_partition",
     "build_multigraph",
     "normalize",
@@ -130,6 +131,13 @@ def hop_distances(graph):
             f"skeleton is disconnected: no path between joints {i} and {j}"
         )
     return dist
+
+
+def check_max_hop(v, max_hop):
+    """Reject a hop depth past V - 1, where every further hop layer is empty."""
+    if max_hop > v - 1:
+        raise ValueError(f"max_hop must be <= V - 1 = {v - 1} for V={v} joints, "
+                         f"got {max_hop}")
 
 
 def build_hop_partition(graph, max_hop):

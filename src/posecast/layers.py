@@ -24,8 +24,7 @@ class GraphConvLayer:
 
     def forward(self, h, graph):
         """h: [batch, V*T, C_in] -> [batch, V*T, C_out]."""
-        out = ad.graph_conv(h, self.weights, graph.band, graph.hops)
-        return ad.tanh(out) if self.activation else out
+        return ad.graph_conv(h, self.weights, graph.band, graph.hops, self.activation)
 
 
 class GraphConvTower:

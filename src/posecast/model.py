@@ -21,7 +21,7 @@ from . import attention as attn
 from . import autodiff as ad
 from .autodiff import DimensionError
 from .data import Reader
-from .graphs import SkeletonGraph, build_hop_partition, build_multigraph
+from .graphs import SkeletonGraph, build_hop_partition, build_multigraph, check_max_hop
 from .layers import GraphConvTower
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "parameter_shapes",
     "HEADER_FIELDS",
 ]
+
+PREDICT_CHUNK = 32                    # windows per forward pass in predict()
 
 VALUE_SCHEDULE = (3, 64, 32, 64, 3)
 QK_SCHEDULE = (3, 64, 32, 16, 16, 3)
@@ -64,6 +66,8 @@ class ModelConfig:
             if len(schedule) < 2 or schedule[0] != 3 or schedule[-1] != 3:
                 raise ValueError(f"{name} must list >= 2 widths, the first and last 3 "
                                  f"coordinates, got {schedule}")
+            if min(schedule) < 1:
+                raise ValueError(f"{name} widths must be >= 1, got {schedule}")
             object.__setattr__(self, name, schedule)
         if self.anchor_count is not None:
             object.__setattr__(self, "anchor_count", int(self.anchor_count))
@@ -111,6 +115,7 @@ class ForecastModel:
         self.skeleton = skeleton
         self.config = config
         t, k = config.input_frames, config.output_frames
+        check_max_hop(skeleton.joint_count, config.max_hop)
         partition = build_hop_partition(skeleton, config.max_hop)
         self.input_graph = build_multigraph(partition, t, config.span)
         self.output_graph = build_multigraph(partition, k, config.span)
@@ -180,9 +185,17 @@ class ForecastModel:
         return attn.anchor_combination(weights, anchors)
 
     def predict(self, x):
-        """Forward pass without recording a graph; returns plain arrays."""
+        """Forward pass without recording a graph; returns plain arrays.
+
+        Runs PREDICT_CHUNK windows at a time, which keeps every temporary
+        below the 32 MiB up to which ``autodiff`` has the allocator reuse
+        freed memory.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        starts = range(0, len(x), PREDICT_CHUNK) or [0]    # an empty batch keeps its shape
         with ad.no_grad():
-            return self.forward(x).predictions.values
+            return np.concatenate([self.forward(x[i: i + PREDICT_CHUNK]).predictions.values
+                                   for i in starts])
 
 
 def build_model(skeleton, config):
@@ -279,6 +292,7 @@ def load_checkpoint(path):
     fields["anchor_count"] = fields["anchor_count"] or None
     try:
         config = ModelConfig(**fields)
+        check_max_hop(v, config.max_hop)
     except ValueError as exc:
         raise ValueError(f"checkpoint header (bytes 0–{r.offset - 1}): {exc}") from exc
     n_edges, = r.take("<I", "edge count")

@@ -160,13 +160,6 @@ def train(model, windows, config):
     return log
 
 
-def _predictions(model, windows, batch_size=256):
-    preds = []
-    for start in range(0, len(windows), batch_size):
-        preds.append(model.predict(windows.inputs[start: start + batch_size]))
-    return np.concatenate(preds)
-
-
 def check_horizons(horizons, k):
     """Reject horizons outside the 1-based range of K predicted frames."""
     for h in horizons:
@@ -181,7 +174,7 @@ def evaluate(model, windows, horizons):
     predicted frame h).
     """
     check_horizons(horizons, windows.targets.shape[1])
-    preds = _predictions(model, windows)
+    preds = model.predict(windows.inputs)
     report = {}
     for h in horizons:
         report[h] = mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])

@@ -71,6 +71,15 @@ def test_activation_gradient_matches_finite_differences():
     assert err < 1e-6
 
 
+def test_activation_gradient_bytes_match_formula():
+    rng = np.random.default_rng(3)
+    x = ad.parameter(rng.normal(size=(4, 7)))
+    weights = rng.normal(size=(4, 7))
+    y = ad.tanh(x)
+    ad.tensor_sum(ad.mul(y, ad.constant(weights))).backward()
+    assert x.grad.tobytes() == (weights * (1.0 - y.values * y.values)).tobytes()
+
+
 class TestMaskedSoftmax:
     def test_symmetric_scores(self):
         out = ad.masked_softmax(ad.constant([0.0, 0.0]), [True, True], axis=-1)

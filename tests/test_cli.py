@@ -187,6 +187,7 @@ def bad_inputs(run_config, tmp_path):
               for name in ("model.pckp", "truncated.pckp", "padded.pckp", "span.pckp",
                            "bad.mgps", "wide.mgps", "nope.mgps")}
     inputs["poses.mgps"] = config["dataset"]
+    inputs["dump"] = str(tmp_path / "dump")
     inputs["train_with"] = train_with
     return inputs
 
@@ -218,6 +219,11 @@ MALFORMED = {
     "train_batch_size_0": (_train("train", batch_size=0), "batch_size"),
     "train_negative_seed": (_train(seed=-1), "seed must be >= 0"),
     "train_bad_value_schedule": (_train("model", value_schedule=[4, 3]), "(4, 3)"),
+    "train_zero_width": (_train("model", value_schedule=[3, 0, 3]), "value_schedule"),
+    "train_max_hop_past_joints": (_train("model", max_hop=50_000_000), "max_hop"),
+    "graph_dump_max_hop_past_joints": (
+        lambda f: ["graph-dump", "h36m22", "--frames", "2", "--span", "1",
+                   "--max-hop", "50000000", "--out", f["dump"]], "max_hop"),
     "eval_truncated_checkpoint": (_eval("truncated.pckp", "poses.mgps"),
                                   "truncated checkpoint at byte"),
     "eval_checkpoint_trailing_bytes": (_eval("padded.pckp", "poses.mgps"),

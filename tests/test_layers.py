@@ -160,31 +160,34 @@ class TestTower:
 
 
 class TestFactoredGraphConv:
-    """The layer against the dense reference sum_k A_k h W_k."""
+    """The layer against the dense reference sum_k A_k h W_k, then tanh."""
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3), (4, 4)])
     def test_matches_dense_reference_and_its_gradients(self, c_in, c_out):
-        rng = np.random.default_rng(11)
-        g = multigraph(chain(4), frames=3, span=1, max_hop=3)
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=False)
-        h = ad.parameter(rng.normal(size=(2, g.node_count, c_in)))
-        target = rng.normal(size=(2, g.node_count, c_out))
+        for activation in (False, True):
+            rng = np.random.default_rng(11)
+            g = multigraph(chain(4), frames=3, span=1, max_hop=3)
+            layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=activation)
+            h = ad.parameter(rng.normal(size=(2, g.node_count, c_in)))
+            target = rng.normal(size=(2, g.node_count, c_out))
 
-        def grads(out):
-            for p in [h, *layer.weights]:
-                p.zero_grad()
-            ad.tensor_sum(ad.mul(out, ad.constant(target))).backward()
-            return [p.grad for p in [h, *layer.weights]]
+            def grads(out):
+                for p in [h, *layer.weights]:
+                    p.zero_grad()
+                ad.tensor_sum(ad.mul(out, ad.constant(target))).backward()
+                return [p.grad for p in [h, *layer.weights]]
 
-        dense = None
-        for a_k, w_k in zip(kron_operators(g), layer.weights):
-            term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
-            dense = term if dense is None else ad.add(dense, term)
-        expected, expected_grads = dense.values, grads(dense)
-        out = layer.forward(h, g)
-        assert np.abs(out.values - expected).max() <= 1e-12
-        for got, want in zip(grads(out), expected_grads, strict=True):
-            assert np.abs(got - want).max() <= 1e-12
+            dense = None
+            for a_k, w_k in zip(kron_operators(g), layer.weights):
+                term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
+                dense = term if dense is None else ad.add(dense, term)
+            if activation:
+                dense = ad.tanh(dense)
+            expected, expected_grads = dense.values, grads(dense)
+            out = layer.forward(h, g)
+            assert np.abs(out.values - expected).max() <= 1e-12
+            for got, want in zip(grads(out), expected_grads, strict=True):
+                assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
     def test_repeated_calls_are_bit_identical(self, c_in, c_out):

@@ -153,10 +153,36 @@ class TestForward:
         ("span", 3),                      # >= max(T, K) = 3
         ("output_frames", 0),
         ("seed", -1),
+        ("value_schedule", (3, 0, 3)),
+        ("qk_schedule", (3, 4, 0, 3)),
     ])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    def test_hop_depth_past_joint_count_rejected_before_building(self):
+        # Every hop layer past V - 1 is empty. Build in a child whose address
+        # space is capped at 2 GiB, so a missing check fails there (about
+        # 190 GB of hop layers) rather than exhausting the machine.
+        child = textwrap.dedent("""
+            import resource, time
+            from posecast.data import skeleton_preset
+            from posecast.model import ModelConfig, build_model
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            start = time.perf_counter()
+            try:
+                build_model(skeleton_preset("h36m22"), ModelConfig(
+                    input_frames=10, output_frames=10, max_hop=50_000_000))
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+            print(time.perf_counter() - start < 1.0)
+        """)
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        error, fast = run.stdout.splitlines()
+        assert error.startswith("ValueError max_hop") and "V=22" in error, error
+        assert fast == "True"
 
     def test_refine_must_be_bool(self):
         # A YAML string such as "false" is truthy; it must not mean True.
@@ -329,15 +355,16 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field, value", [
         ("span", 0xFF),                   # span 255 >= max(T, K)
         ("value_schedule", 4),            # schedule (4, 4, 3)
+        ("max_hop", 4),                   # D 4 > V - 1 = 3
     ])
     def test_config_error_names_checkpoint_header(self, tmp_path, field, value):
         config = tiny_config()
         path = tmp_path / "model.pckp"
         save_checkpoint(path, build_model(skeleton_preset("chain_4"), config))
         blob = bytearray(path.read_bytes())
-        # Bytes 17-20 hold L; the first value_schedule width follows
-        # D, strategy, anchor_count, refine, seed and the width count.
-        offset = {"span": 17,
+        # Bytes 17-20 hold L and 21-24 D; the first value_schedule width
+        # follows D, strategy, anchor_count, refine, seed and the width count.
+        offset = {"span": 17, "max_hop": 21,
                   "value_schedule": 25 + 4 + len(config.strategy) + 4 + 1 + 8 + 4}[field]
         blob[offset] = value
         path.write_bytes(blob)
@@ -418,6 +445,12 @@ class TestGradientFlow:
     def test_predict_matches_forward_bitwise(self):
         out = self.model.forward(self.x).predictions.values
         assert self.model.predict(self.x).tobytes() == out.tobytes()
+
+    def test_predict_runs_32_windows_at_a_time(self):
+        x = np.random.default_rng(12).normal(size=(2 * 32 + 5, 3, 4, 3))
+        chunks = [self.model.forward(x[i: i + 32]).predictions.values for i in (0, 32, 64)]
+        assert [len(c) for c in chunks] == [32, 32, 5]
+        assert self.model.predict(x).tobytes() == np.concatenate(chunks).tobytes()
 
     def test_input_liveness_leaves_parameter_grads_bit_identical(self, monkeypatch):
         # A constant input skips the input-side gradient of every first

@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,23 @@ class TestTrainLoop:
         # YAML reads 1e-2 as a string; library and CLI callers get a float.
         config = TrainConfig(epochs="4", lr_initial="1e-2", lr_decay_epochs=[2])
         assert (config.epochs, config.lr_initial, config.lr_decay_epochs) == (4, 0.01, (2,))
+
+
+@pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
+def test_steady_state_steps_fault_in_no_fresh_pages():
+    # The criterion-8 model and batch size. With the allocator left as it
+    # is, each step's large temporaries are fresh mmapped pages: thousands
+    # of minor faults per step.
+    seq = synth_kinematic(8, frames=3 * 128 + 19, period=16, seed=0, amplitude=0.5)
+    windows = make_windows([seq], t_in=10, k_out=10)
+    model = build_model(skeleton_preset("chain_8"), ModelConfig(
+        input_frames=10, output_frames=10, span=1, max_hop=1,
+        strategy="pseudo_autoregressive", refine=True, seed=11))
+    config = TrainConfig(epochs=1, batch_size=128, lr_decay_epochs=(), seed=0)
+    train(model, windows, config)                   # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, windows, config)                   # three steps
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 class TestEvaluate:
