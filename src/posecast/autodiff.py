@@ -443,13 +443,18 @@ def graph_conv(h, weights, band, hops, activation=False):
     The (VT)^2 operators are never formed: the band acts on the frame
     axis and the hops on the joint axis.
 
-    All hops go into one stacked product on the narrower channel side.
-    When C_in < C_out they act on h, giving z = [B*T*V, (D+1)*C_in], then
-    one product with the stacked weights; z is kept for the weight
-    gradient. Otherwise one product h @ [W_0 ... W_D] comes first, then
-    the stacked hops. The band is applied once, to the sum. Backward
-    applies the transposed band, then all hops stacked, so each gradient
-    takes one weight product.
+    The band and the hops act on different axes, so they commute; each
+    runs on the narrower channel side, all hops in one stacked product.
+    When C_in < C_out the band acts on h, then the hops, giving
+    z = [B*T*V, (D+1)*C_in], and one product with the stacked weights
+    writes the output; z is kept for the weight gradient, which then
+    needs no band. Backward takes the input gradient back through the
+    weights and the transposed hops, and applies the transposed band
+    last, C_in wide; with no input gradient to form, no band runs.
+    Otherwise one product h @ [W_0 ... W_D] comes first, then the stacked
+    hops, and the band is applied once, to the sum; backward applies the
+    transposed band first, then all hops stacked. Either way each
+    gradient takes one weight product.
 
     tanh runs in place on the output, and backward forms its derivative
     1 - y^2 in place from that output, so no pre-activation array is
@@ -476,15 +481,15 @@ def graph_conv(h, weights, band, hops, activation=False):
     hops_first = c_in < c_out
     if hops_first:
         stacked = _stack_hops(hops)
-        z = (stacked @ x).reshape(b * n, k_count * c_in)
-        s = z @ w.reshape(k_count * c_in, c_out)
+        z = (stacked @ _apply_band(band, x)).reshape(b * n, k_count * c_in)
+        out_values = (z @ w.reshape(k_count * c_in, c_out)).reshape(*lead, n, c_out)
     else:
         # Row j * (D+1) + k is column j of hops[k].
         stacked = _stack_hops(np.swapaxes(hops, 1, 2))
         p = x.reshape(b * n, c_in) @ w.transpose(1, 0, 2).reshape(c_in, k_count * c_out)
         s = stacked.T @ p.reshape(b, t, v * k_count, c_out)
         del p                   # D+1 outputs' worth, not needed by the band product
-    out_values = _apply_band(band, s.reshape(b, t, v, c_out)).reshape(*lead, n, c_out)
+        out_values = _apply_band(band, s).reshape(*lead, n, c_out)
     if activation:
         np.tanh(out_values, out=out_values)
     if not _needs_graph(h, *weights):
@@ -495,15 +500,17 @@ def graph_conv(h, weights, band, hops, activation=False):
     def backward(grad):
         if activation:
             grad = _tanh_grad(out_values, grad)
-        g = _apply_band(band.T, grad.reshape(b, t, v, c_out))
         if hops_first:
-            g = g.reshape(b * n, c_out)
+            g = grad.reshape(b * n, c_out)
             if w_live:
                 dw = (z.T @ g).reshape(k_count, c_in, c_out)
             if h_live:
-                dz = g @ w.reshape(k_count * c_in, c_out).T
-                dx = stacked.T @ dz.reshape(b, t, v * k_count, c_in)
+                dz = (g @ w.reshape(k_count * c_in, c_out).T).reshape(b, t, v * k_count, c_in)
+                dx = stacked.T @ dz
+                del dz                  # D+1 inputs' worth, not needed by the band product
+                dx = _apply_band(band.T, dx)
         else:
+            g = _apply_band(band.T, grad.reshape(b, t, v, c_out))
             # dp: all transposed hops applied to g, [B*T*V, (D+1) * C_out].
             dp = (stacked @ g).reshape(b * n, k_count * c_out)
             if w_live:

@@ -61,6 +61,23 @@ def _ints(name, values):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _stride(config):
+    windows = config.get("windows", {})
+    if not isinstance(windows, dict):
+        raise ConfigError(f"windows must be a mapping, got {windows!r}")
+    stride, = _ints("windows.stride", [windows.get("stride", 1)])
+    if stride < 1:
+        raise ConfigError(f"windows.stride must be >= 1, got {stride}")
+    return stride
+
+
+def _output_dir(config, default):
+    out_dir = config.get("output_dir", default)
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
+    return out_dir
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -107,8 +124,8 @@ def _run_training(config, out_dir, **model_overrides):
     train_config = _section(TrainConfig, config, "train")
     horizons = _ints("horizons", config.get("horizons", [model_config.output_frames]))
     check_horizons(horizons, model_config.output_frames)
-    stride = int(config.get("windows", {}).get("stride", 1))
-    windows = _load_windows(_require(config, "dataset"), model_config, skeleton, stride)
+    windows = _load_windows(_require(config, "dataset"), model_config, skeleton,
+                            _stride(config))
     model = build_model(skeleton, model_config)
     log = train(model, windows, train_config)
 
@@ -123,7 +140,7 @@ def _run_training(config, out_dir, **model_overrides):
 
 def cmd_train(args):
     config = load_config(args.config)
-    out_dir = config.get("output_dir", "runs/default")
+    out_dir = _output_dir(config, "runs/default")
     _run_training(config, out_dir)
     print(f"wrote checkpoint, train_log.jsonl, eval_report.txt to {out_dir}")
     return EXIT_OK
@@ -170,7 +187,7 @@ def cmd_sweep(args):
     spans = _ints("--spans", args.spans.split(","))
     hops = _ints("--hops", args.hops.split(","))
     horizon, = _ints("--horizon", [args.horizon])
-    base_out = config.get("output_dir", "runs/sweep")
+    base_out = _output_dir(config, "runs/sweep")
     rows = []
     for span in spans:
         for hop in hops:

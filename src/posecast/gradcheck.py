@@ -127,21 +127,24 @@ def _check_sqrt():
 
 def _check_graph_conv():
     # chain_4 with D=3: only the end joints have a 3-hop neighbour, so
-    # hops[3] has zero rows. span >= T fills every band entry.
+    # hops[3] has zero rows. span >= T fills every band entry; span=1 over
+    # three frames leaves the outer corners of the band zero.
     rng = _rng()
     partition = build_hop_partition(skeleton_preset("chain_4"), max_hop=3)
-    graph = build_multigraph(partition, frame_count=2, span=2)
     worst = 0.0
-    for c_in, c_out in ((3, 4), (4, 3)):
-        h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
-        weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
-        for activation in (False, True):
-            err = check_gradients(
-                lambda: ad.tensor_sum(ad.mul(
-                    o := ad.graph_conv(h, weights, graph.band, graph.hops, activation), o)),
-                [h, *weights],
-            )
-            worst = max(worst, err)
+    for frame_count, span in ((2, 2), (3, 1)):
+        graph = build_multigraph(partition, frame_count=frame_count, span=span)
+        for c_in, c_out in ((3, 4), (4, 3)):
+            h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
+            weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
+            for activation in (False, True):
+                err = check_gradients(
+                    lambda: ad.tensor_sum(ad.mul(
+                        o := ad.graph_conv(h, weights, graph.band, graph.hops, activation),
+                        o)),
+                    [h, *weights],
+                )
+                worst = max(worst, err)
     return worst
 
 

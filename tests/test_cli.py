@@ -221,6 +221,10 @@ MALFORMED = {
     "train_bad_value_schedule": (_train("model", value_schedule=[4, 3]), "(4, 3)"),
     "train_zero_width": (_train("model", value_schedule=[3, 0, 3]), "value_schedule"),
     "train_max_hop_past_joints": (_train("model", max_hop=50_000_000), "max_hop"),
+    "train_windows_not_mapping": (_train(windows=[2]), "windows must be a mapping"),
+    "train_windows_stride_not_int": (_train(windows={"stride": "two"}), "windows.stride"),
+    "train_windows_stride_0": (_train(windows={"stride": 0}), "windows.stride"),
+    "train_output_dir_not_string": (_train(output_dir=[1, 2]), "output_dir"),
     "graph_dump_max_hop_past_joints": (
         lambda f: ["graph-dump", "h36m22", "--frames", "2", "--span", "1",
                    "--max-hop", "50000000", "--out", f["dump"]], "max_hop"),

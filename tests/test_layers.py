@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,32 @@ class TestFactoredGraphConv:
                 assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
+    def test_constant_input_weight_gradients_match_dense_reference(self, c_in, c_out):
+        # A tower's first layer: no input gradient is formed. span=1 < T-1
+        # leaves zeros in the band, so a band on the wrong side shows.
+        rng = np.random.default_rng(14)
+        g = multigraph(chain(4), frames=3, span=1, max_hop=3)
+        assert not g.band.all()
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        h = ad.constant(rng.normal(size=(2, g.node_count, c_in)))
+        target = ad.constant(rng.normal(size=(2, g.node_count, c_out)))
+
+        def weight_grads(out):
+            for w in layer.weights:
+                w.zero_grad()
+            ad.tensor_sum(ad.mul(out, target)).backward()
+            return [w.grad for w in layer.weights]
+
+        dense = None
+        for a_k, w_k in zip(kron_operators(g), layer.weights):
+            term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
+            dense = term if dense is None else ad.add(dense, term)
+        expected = weight_grads(ad.tanh(dense))
+        for got, want in zip(weight_grads(layer.forward(h, g)), expected, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
+        assert h.grad is None
+
+    @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
     def test_repeated_calls_are_bit_identical(self, c_in, c_out):
         rng = np.random.default_rng(12)
         g = multigraph(chain(6), frames=4, span=2, max_hop=2)
@@ -205,6 +233,26 @@ class TestFactoredGraphConv:
             runs.append([out.values.tobytes(), h.grad.tobytes()]
                         + [w.grad.tobytes() for w in layer.weights])
         assert runs[0] == runs[1]
+
+    def test_widening_layer_peak_memory_without_grad(self):
+        # h36m22's 32->64 layer at D=3, batch 32: z = [B*T*V, 4*32] and the
+        # output, plus at most one band product as wide as the input.
+        g = multigraph(skeleton_preset("h36m22"), frames=10, span=2, max_hop=3)
+        rng = np.random.default_rng(15)
+        b, c_in, c_out = 32, 32, 64
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        h = ad.constant(rng.normal(size=(b, g.node_count, c_in)))
+        bound = 8 * b * g.node_count * (4 * c_in + c_out + c_in)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with ad.no_grad():
+                layer.forward(h, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_channel_and_partition_mismatch(self):
         rng = np.random.default_rng(13)
