@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import yaml
 
 from . import data as data_io
 from . import graphs
 from . import gradcheck as gc
-from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, build_model, config_value, load_checkpoint, save_checkpoint
 from .training import (
     NumericalError,
     TrainConfig,
@@ -36,14 +37,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _require(config, key):
-    if key not in config or config[key] is None:
-        raise ConfigError(f"missing required config field {key!r}")
-    return config[key]
+RUN_KEYS = ("seed", "dataset", "skeleton", "output_dir", "windows", "horizons", "model", "train")
 
 
 def _section(cls, config, key, **overrides):
@@ -51,31 +45,17 @@ def _section(cls, config, key, **overrides):
     try:
         return cls(**{**config.get(key, {}), **overrides}, seed=config.get("seed", 0))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ValueError(f"{key}: {exc}") from exc
 
 
-def _ints(name, values):
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _stride(config):
-    windows = config.get("windows", {})
-    if not isinstance(windows, dict):
-        raise ConfigError(f"windows must be a mapping, got {windows!r}")
-    stride, = _ints("windows.stride", [windows.get("stride", 1)])
-    if stride < 1:
-        raise ConfigError(f"windows.stride must be >= 1, got {stride}")
-    return stride
-
-
-def _output_dir(config, default):
-    out_dir = config.get("output_dir", default)
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
-    return out_dir
+def _mapping(what, value, keys):
+    """``value``, checked to be a mapping that holds only ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a mapping, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}; expected one of {keys}")
+    return value
 
 
 def load_config(path):
@@ -83,10 +63,8 @@ def load_config(path):
         with open(path) as f:
             config = yaml.safe_load(f)
     except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must be a mapping")
-    return config
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    return _mapping(f"config {path}", config, RUN_KEYS)
 
 
 def _load_windows(path, model_config, skeleton, stride=1):
@@ -98,40 +76,38 @@ def _load_windows(path, model_config, skeleton, stride=1):
         skeleton=skeleton,
     )
     if len(windows) == 0:
-        raise ConfigError(
+        raise ValueError(
             f"dataset: no windows of length "
             f"{model_config.input_frames + model_config.output_frames} in {path}"
         )
     if windows.inputs.shape[2] != skeleton.joint_count:
-        raise ConfigError(
+        raise ValueError(
             f"dataset: joint count {windows.inputs.shape[2]} does not match "
             f"skeleton ({skeleton.joint_count})"
         )
     return windows
 
 
-def _write_log(path, log):
-    with open(path, "w") as f:
-        for rec in log:
-            f.write(json.dumps(
-                {"epoch": rec.epoch, "mean_loss": rec.mean_loss, "lr": rec.lr}
-            ) + "\n")
-
-
 def _run_training(config, out_dir, **model_overrides):
-    skeleton = data_io.skeleton_preset(_require(config, "skeleton"))
+    skeleton = data_io.skeleton_preset(config_value("skeleton", config.get("skeleton"), "str"))
     model_config = _section(ModelConfig, config, "model", **model_overrides)
     train_config = _section(TrainConfig, config, "train")
-    horizons = _ints("horizons", config.get("horizons", [model_config.output_frames]))
+    horizons = config_value("horizons", config.get("horizons", [model_config.output_frames]),
+                            "tuple")
     check_horizons(horizons, model_config.output_frames)
-    windows = _load_windows(_require(config, "dataset"), model_config, skeleton,
-                            _stride(config))
+    sampling = _mapping("windows", config.get("windows", {}), ("stride",))
+    stride = config_value("windows.stride", sampling.get("stride", 1), "int")
+    if stride < 1:
+        raise ValueError(f"windows.stride must be >= 1, got {stride}")
+    windows = _load_windows(config_value("dataset", config.get("dataset"), "str"),
+                            model_config, skeleton, stride)
     model = build_model(skeleton, model_config)
     log = train(model, windows, train_config)
 
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.pckp"), model)
-    _write_log(os.path.join(out_dir, "train_log.jsonl"), log)
+    with open(os.path.join(out_dir, "train_log.jsonl"), "w") as f:
+        f.writelines(json.dumps(asdict(record)) + "\n" for record in log)
     report = evaluate(model, windows, horizons)
     with open(os.path.join(out_dir, "eval_report.txt"), "w") as f:
         f.write(report.format_table() + "\n")
@@ -140,7 +116,7 @@ def _run_training(config, out_dir, **model_overrides):
 
 def cmd_train(args):
     config = load_config(args.config)
-    out_dir = _output_dir(config, "runs/default")
+    out_dir = config_value("output_dir", config.get("output_dir", "runs/default"), "str")
     _run_training(config, out_dir)
     print(f"wrote checkpoint, train_log.jsonl, eval_report.txt to {out_dir}")
     return EXIT_OK
@@ -148,7 +124,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
-    horizons = _ints("--horizons", args.horizons.split(","))
+    horizons = config_value("--horizons", args.horizons.split(","), "tuple")
     windows = _load_windows(args.dataset, model.config, model.skeleton)
     report = evaluate(model, windows, horizons)
     extra = None
@@ -184,10 +160,10 @@ def cmd_predict(args):
 
 def cmd_sweep(args):
     config = load_config(args.config)
-    spans = _ints("--spans", args.spans.split(","))
-    hops = _ints("--hops", args.hops.split(","))
-    horizon, = _ints("--horizon", [args.horizon])
-    base_out = _output_dir(config, "runs/sweep")
+    spans = config_value("--spans", args.spans.split(","), "tuple")
+    hops = config_value("--hops", args.hops.split(","), "tuple")
+    horizon = config_value("--horizon", args.horizon, "int")
+    base_out = config_value("output_dir", config.get("output_dir", "runs/sweep"), "str")
     rows = []
     for span in spans:
         for hop in hops:
@@ -276,7 +252,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # ConfigError, PoseFormatError, DimensionError, missing files.
+        # Config values, PoseFormatError, DimensionError, missing files.
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

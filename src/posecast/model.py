@@ -10,10 +10,11 @@ output-side graph.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "load_checkpoint",
     "parameter_shapes",
     "HEADER_FIELDS",
+    "config_value",
 ]
 
 PREDICT_CHUNK = 32                    # windows per forward pass in predict()
@@ -45,34 +47,61 @@ CHECKPOINT_MAGIC = b"PCKP"
 CHECKPOINT_VERSION = 1
 
 
+def config_value(name, value, kind):
+    """Read a config value from outside (YAML, the command line, a caller)
+    as ``kind``, a field annotation: int, float, bool, str or tuple (of
+    ints), "| None" admitting None. Integers are never bools or fractions,
+    floats are finite, and both may be strings (YAML reads 1e-2 as one)."""
+    kind, _, optional = kind.partition(" | ")
+    cast, what = {"int": (int, "an integer"), "float": (float, "a finite number"),
+                  "bool": (bool, "true or false"), "str": (str, "a string"),
+                  "tuple": (tuple, "a list of integers")}[kind]
+    if cast is tuple and isinstance(value, (list, tuple)):
+        return tuple(config_value(f"{name}[{i}]", v, "int") for i, v in enumerate(value))
+    if isinstance(value, str) and cast in (int, float):
+        with contextlib.suppress(ValueError):
+            value = cast(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        if type(value) is cast or value is None and optional:
+            return value
+    elif cast in (int, float):
+        with contextlib.suppress(ValueError, OverflowError):
+            number = cast(value)
+            if number == value and (cast is int or math.isfinite(number)):
+                return number
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _header(code, default=MISSING):
+    return field(default=default, metadata={"code": code})
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    input_frames: int                 # T
-    output_frames: int                # K
-    span: int = 2                     # L
-    max_hop: int = 3                  # D
-    strategy: str = "anchor"
-    anchor_count: int | None = None   # None: one anchor per input frame
-    refine: bool = True
-    value_schedule: tuple = VALUE_SCHEDULE
-    qk_schedule: tuple = QK_SCHEDULE
-    seed: int = 0
+    """Model hyperparameters. The fields, in order, are the checkpoint header
+    after the magic, version byte and joint count V. Each declares its code:
+    a struct format ("B" a 0/1 flag), "s" a u32-length-prefixed ASCII string
+    or "I*" a u32-length-prefixed list of u32. None is stored as 0."""
+
+    input_frames: int = _header("I")                  # T
+    output_frames: int = _header("I")                 # K
+    span: int = _header("I", 2)                       # L
+    max_hop: int = _header("I", 3)                    # D
+    strategy: str = _header("s", "anchor")
+    anchor_count: int | None = _header("I", None)     # None: one anchor per input frame
+    refine: bool = _header("B", True)
+    seed: int = _header("q", 0)
+    value_schedule: tuple = _header("I*", VALUE_SCHEDULE)
+    qk_schedule: tuple = _header("I*", QK_SCHEDULE)
 
     def __post_init__(self):
-        for name in ("input_frames", "output_frames", "span", "max_hop", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, config_value(f.name, getattr(self, f.name), f.type))
         for name in ("value_schedule", "qk_schedule"):
-            schedule = tuple(int(c) for c in getattr(self, name))
-            if len(schedule) < 2 or schedule[0] != 3 or schedule[-1] != 3:
-                raise ValueError(f"{name} must list >= 2 widths, the first and last 3 "
-                                 f"coordinates, got {schedule}")
-            if min(schedule) < 1:
-                raise ValueError(f"{name} widths must be >= 1, got {schedule}")
-            object.__setattr__(self, name, schedule)
-        if self.anchor_count is not None:
-            object.__setattr__(self, "anchor_count", int(self.anchor_count))
-        if not isinstance(self.refine, bool):
-            raise ValueError(f"refine must be true or false, got {self.refine!r}")
+            schedule = getattr(self, name)
+            if len(schedule) < 2 or schedule[0] != 3 or schedule[-1] != 3 or min(schedule) < 1:
+                raise ValueError(f"{name} must list >= 2 widths of at least 1, the first and "
+                                 f"last 3 coordinates, got {schedule}")
         if self.strategy not in attn.STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {attn.STRATEGIES}"
@@ -90,18 +119,14 @@ class ModelConfig:
             raise ValueError(f"span must be in [0, {longest - 1}], got {self.span}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:                # a config that can be built can be saved
+            for name, code in HEADER_FIELDS:
+                _pack_field(code, getattr(self, name))
+        except struct.error as exc:
+            raise ValueError(f"{name} does not fit the checkpoint header: {exc}") from None
 
 
-# The checkpoint header after the magic, the version byte and the joint
-# count V: every ModelConfig field in file order with its code, a struct
-# format ("B" holds a 0/1 flag), "s" for a u32-length-prefixed ASCII string
-# or "I*" for a u32-length-prefixed list of u32. An anchor_count of None is
-# stored as 0.
-HEADER_FIELDS = (
-    ("input_frames", "I"), ("output_frames", "I"), ("span", "I"), ("max_hop", "I"),
-    ("strategy", "s"), ("anchor_count", "I"), ("refine", "B"), ("seed", "q"),
-    ("value_schedule", "I*"), ("qk_schedule", "I*"),
-)
+HEADER_FIELDS = tuple((f.name, f.metadata["code"]) for f in fields(ModelConfig))
 
 
 @dataclass
@@ -288,10 +313,10 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version} at byte 4")
     v, = r.take("<I", "joint count")
-    fields = {name: _read_field(r, code, name) for name, code in HEADER_FIELDS}
-    fields["anchor_count"] = fields["anchor_count"] or None
+    values = {name: _read_field(r, code, name) for name, code in HEADER_FIELDS}
+    values["anchor_count"] = values["anchor_count"] or None
     try:
-        config = ModelConfig(**fields)
+        config = ModelConfig(**values)
         check_max_hop(v, config.max_hop)
     except ValueError as exc:
         raise ValueError(f"checkpoint header (bytes 0–{r.offset - 1}): {exc}") from exc

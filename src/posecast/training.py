@@ -8,12 +8,13 @@ convention for per-horizon columns), averaged over windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
+from .model import config_value
 
 __all__ = [
     "TrainConfig",
@@ -45,24 +46,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("lr_initial", "lr_decay_factor"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.clip_norm is not None:
-            object.__setattr__(self, "clip_norm", float(self.clip_norm))
+        for f in fields(self):
+            object.__setattr__(self, f.name, config_value(f.name, getattr(self, f.name), f.type))
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        decays = tuple(int(e) for e in self.lr_decay_epochs)
-        if list(decays) != sorted(set(decays)):
-            raise ValueError(f"decay epochs must be strictly increasing: {decays}")
-        if any(e >= self.epochs for e in decays) and self.epochs > 0:
-            raise ValueError(
-                f"decay epochs {decays} must all be < epochs ({self.epochs})"
-            )
-        object.__setattr__(self, "lr_decay_epochs", decays)
+        for name in ("lr_initial", "lr_decay_factor", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        decays = self.lr_decay_epochs
+        if list(decays) != sorted(set(decays)) or decays and 0 < self.epochs <= decays[-1]:
+            raise ValueError(f"lr_decay_epochs must be strictly increasing and below "
+                             f"epochs ({self.epochs}), got {decays}")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import yaml
 from posecast import cli, gradcheck
 from posecast.data import save_sequences, skeleton_preset, synth_kinematic
 from posecast.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from posecast.training import TrainConfig, check_horizons
 from posecast.graphs import read_operator
 
 
@@ -225,6 +228,18 @@ MALFORMED = {
     "train_windows_stride_not_int": (_train(windows={"stride": "two"}), "windows.stride"),
     "train_windows_stride_0": (_train(windows={"stride": 0}), "windows.stride"),
     "train_output_dir_not_string": (_train(output_dir=[1, 2]), "output_dir"),
+    "train_skeleton_not_string": (_train(skeleton=5), "skeleton must be a string"),
+    "train_dataset_not_string": (_train(dataset=["poses.mgps"]), "dataset must be a string"),
+    "train_unknown_top_level_key": (_train(horizon=[99]), "unknown key 'horizon'"),
+    "train_unknown_windows_key": (_train(windows={"stide": 2}), "unknown key 'stide'"),
+    "train_negative_clip_norm": (_train("train", clip_norm=-1), "clip_norm must be > 0"),
+    "train_zero_lr_initial": (_train("train", lr_initial=0), "lr_initial must be > 0"),
+    "train_windows_stride_fraction": (_train(windows={"stride": 1.5}), "windows.stride"),
+    "train_horizon_fraction": (_train(horizons=[2.9]), "horizons[0] must be an integer"),
+    "train_epochs_fraction": (_train("train", epochs=2.7), "epochs must be an integer"),
+    "train_batch_size_bool": (_train("train", batch_size=True), "batch_size must be an integer"),
+    "train_span_fraction": (_train("model", span=1.9), "span must be an integer"),
+    "train_seed_past_header": (_train(seed=2**64), "seed does not fit the checkpoint header"),
     "graph_dump_max_hop_past_joints": (
         lambda f: ["graph-dump", "h36m22", "--frames", "2", "--span", "1",
                    "--max-hop", "50000000", "--out", f["dump"]], "max_hop"),
@@ -238,12 +253,27 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("argv, fragment", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_exits_2_with_one_line(argv, fragment, bad_inputs, capsys):
+def test_malformed_input_exits_2_with_one_line(argv, fragment, bad_inputs, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained on malformed input"))
     assert cli.main(argv(bad_inputs)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert fragment in err
     assert len(err.splitlines()) == 1
+
+
+def test_readme_run_config_builds(tmp_path):
+    # The documented example must pass the CLI's checks and build, so a
+    # schema change that breaks it fails here. Nothing is trained.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "run.yaml"
+    path.write_text(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+    config = cli.load_config(path)
+    model_config = cli._section(ModelConfig, config, "model")
+    train_config = cli._section(TrainConfig, config, "train")
+    assert (model_config.seed, train_config.seed) == (config["seed"], config["seed"])
+    check_horizons(config["horizons"], model_config.output_frames)
+    build_model(skeleton_preset(config["skeleton"]), model_config)
 
 
 class TestGradcheckCommand:

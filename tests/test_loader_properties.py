@@ -1,7 +1,11 @@
 """Property: one byte edit to a valid file never crashes a loader.
 
 Hypothesis draws a small checkpoint or ``.mgps`` file and one edit (a
-bit flip, an inserted byte, a deleted byte or a truncation).
+bit flip, an inserted byte, a deleted byte or a truncation). A checkpoint
+also gets a header-aware edit: one u32 at the start of a header field
+(found by walking ``HEADER_FIELDS``), at a schedule width or at the joint
+or edge count is overwritten with 0, 1, 2**31, 2**32 - 1 or a small
+integer, the sizes a corrupt header most often declares.
 ``load_checkpoint`` and ``load_sequences`` must then return, or raise
 ``ValueError`` (``PoseFormatError`` is one); any other exception,
 ``MemoryError`` included, fails. The search runs in a child process
@@ -21,11 +25,12 @@ import posecast
 EXAMPLES = 150        # per loader
 
 CHILD = textwrap.dedent("""
-    import os, resource, sys
+    import os, resource, struct, sys
     import numpy as np
     from hypothesis import HealthCheck, given, settings, strategies as st
     from posecast.data import PoseSequence, load_sequences, save_sequences, skeleton_preset
-    from posecast.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+    from posecast.model import (HEADER_FIELDS, ModelConfig, build_model, load_checkpoint,
+                                save_checkpoint)
 
     work_dir, examples = sys.argv[1], int(sys.argv[2])
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -85,6 +90,22 @@ CHILD = textwrap.dedent("""
             f.write(blob)
         return path
 
+    # Offsets of the joint count, each header field, each schedule width
+    # and the edge count.
+    def u32_offsets(blob):
+        at, offsets = 9, [5]
+        for name, code in HEADER_FIELDS:
+            offsets.append(at)
+            if code == "s":
+                at += 4 + struct.unpack_from("<I", blob, at)[0]
+            elif code == "I*":
+                n, = struct.unpack_from("<I", blob, at)
+                offsets += range(at + 4, at + 4 + 4 * n, 4)
+                at += 4 + 4 * n
+            else:
+                at += struct.calcsize("<" + code)
+        return offsets + [at]
+
     def loads_or_rejects(load, path):
         try:
             load(path)
@@ -101,7 +122,20 @@ CHILD = textwrap.dedent("""
     def pose_file_edits(edit, path):
         loads_or_rejects(load_sequences, edited(path, edit))
 
+    @fuzz
+    @given(checkpoints(), st.data())
+    def checkpoint_header_edits(path, data):
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        at = data.draw(st.sampled_from(u32_offsets(blob)))
+        value = data.draw(st.sampled_from([0, 1, 1 << 31, (1 << 32) - 1]) | st.integers(0, 64))
+        struct.pack_into("<I", blob, at, value)
+        with open(path, "wb") as f:
+            f.write(blob)
+        loads_or_rejects(load_checkpoint, path)
+
     checkpoint_edits()
+    checkpoint_header_edits()
     pose_file_edits()
     print("ok")
 """)

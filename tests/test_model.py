@@ -14,6 +14,7 @@ from posecast.model import (
     HEADER_FIELDS,
     ModelConfig,
     build_model,
+    config_value,
     load_checkpoint,
     parameter_shapes,
     save_checkpoint,
@@ -189,6 +190,33 @@ class TestForward:
         with pytest.raises(ValueError, match="refine"):
             tiny_config(refine="false")
 
+    @pytest.mark.parametrize("value, kind, expected", [
+        (3, "int", 3), (np.int64(3), "int", 3), (3.0, "int", 3), ("3", "int", 3),
+        (2**70, "int", 2**70), (2, "float", 2.0), ("1e-2", "float", 0.01),
+        (np.float32(0.5), "float", 0.5), (None, "float | None", None),
+        ([1, "2", 3.0], "tuple", (1, 2, 3)), (False, "bool", False), ("a", "str", "a"),
+    ])
+    def test_config_value_reads(self, value, kind, expected):
+        read = config_value("field", value, kind)
+        assert read == expected and type(read) is type(expected)
+
+    @pytest.mark.parametrize("value, kind", [
+        (2.7, "int"), (True, "int"), ("2.0", "int"), (float("inf"), "int"), (None, "int"),
+        (float("nan"), "float"), ("inf", "float"), (10**400, "float"), (False, "float"),
+        ("yes", "bool"), (1, "bool"), (5, "str"), ("333", "tuple"), ([3, 2.5], "tuple"),
+    ])
+    def test_config_value_rejects(self, value, kind):
+        with pytest.raises(ValueError, match="^field"):
+            config_value("field", value, kind)
+
+    def test_config_that_builds_can_be_saved(self, tmp_path):
+        for field, value in [("seed", 2**63), ("value_schedule", (3, 2**32, 3))]:
+            with pytest.raises(ValueError, match=f"{field} does not fit the checkpoint header"):
+                tiny_config(**{field: value})
+        config = tiny_config(seed=2**63 - 1)
+        save_checkpoint(tmp_path / "model.pckp", build_model(skeleton_preset("chain_4"), config))
+        assert load_checkpoint(tmp_path / "model.pckp").config == config
+
 
 class TestParameterCount:
     def test_single_layer_identity_case(self):
@@ -238,7 +266,7 @@ class TestParameterCount:
         assert dict(table)["tcn"] == (2, 3)
 
     def test_table_is_lazy(self):
-        table = parameter_shapes(tiny_config(max_hop=2**40))
+        table = parameter_shapes(tiny_config(max_hop=2**32 - 1))   # the largest u32
         assert next(table) == ("v_tower.0", (3, 4))
 
 

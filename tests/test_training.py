@@ -158,6 +158,16 @@ class TestTrainLoop:
         # YAML reads 1e-2 as a string; library and CLI callers get a float.
         config = TrainConfig(epochs="4", lr_initial="1e-2", lr_decay_epochs=[2])
         assert (config.epochs, config.lr_initial, config.lr_decay_epochs) == (4, 0.01, (2,))
+        # An integral float is a whole number; the benchmark trains "forever".
+        config = TrainConfig(epochs=10.0, batch_size=np.int64(8), lr_decay_epochs=[2])
+        assert (config.epochs, config.batch_size) == (10, 8) and type(config.epochs) is int
+        assert TrainConfig(epochs=2**62, lr_decay_epochs=()).epochs == 2**62
+
+    @pytest.mark.parametrize("field", ["lr_initial", "lr_decay_factor", "clip_norm"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), "inf"])
+    def test_rates_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 @pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
