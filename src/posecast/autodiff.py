@@ -43,6 +43,7 @@ __all__ = [
     "transpose",
     "tail",
     "graph_conv",
+    "stack_weights",
     "AdamState",
     "adam_step",
 ]
@@ -423,25 +424,45 @@ def tail(a, start):
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
 
-def _stack_hops(hops):
-    """[D+1, V, V] -> [V*(D+1), V] with row v*(D+1) + k equal to hops[k][v]."""
-    return np.transpose(hops, (1, 0, 2)).reshape(-1, hops.shape[-1])
-
-
 def _apply_band(band, x):
     """band acting on the frame axis of x: [B, T, V, C]."""
     b, t, v, c = x.shape
     return (band @ x.reshape(b, t, v * c)).reshape(b, t, v, c)
 
 
-def graph_conv(h, weights, band, hops, activation=False):
+def stack_weights(weights):
+    """Copy one layer's D+1 weights [C_in, C_out] into one new array, the
+    stack graph_conv multiplies by, and make each tensor's values a view of
+    its slice; returns the stack. It is [D+1, C_in, C_out] when C_in < C_out
+    and [C_in, D+1, C_out] otherwise, so both weight products are reshapes
+    of it. In-place writes to the tensors (an Adam step, loading a
+    checkpoint) are then writes to the stack.
+    """
+    c_in, c_out = weights[0].shape
+    if any(w.shape != (c_in, c_out) for w in weights):
+        raise DimensionError(f"a layer's weights must share one shape, got "
+                             f"{[w.shape for w in weights]}")
+    hops_first = c_in < c_out
+    stack = np.empty((len(weights), c_in, c_out) if hops_first else (c_in, len(weights), c_out))
+    for w, view in zip(weights, stack if hops_first else stack.swapaxes(0, 1)):
+        view[...] = w.values
+        w.values = view
+    return stack
+
+
+def graph_conv(h, weights, stack, band, hop_stack, activation=False):
     """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k], then
     tanh if ``activation`` is set.
 
     h: [..., T*V, C_in] with node (frame t, joint v) at row t * V + v;
-    weights: D+1 tensors [C_in, C_out]; band: [T, T]; hops: [D+1, V, V].
-    The (VT)^2 operators are never formed: the band acts on the frame
-    axis and the hops on the joint axis.
+    weights: D+1 tensors [C_in, C_out] whose values are the slices of
+    ``stack``, as ``stack_weights`` leaves them; band: [T, T]; hop_stack:
+    [V*(D+1), V] with row v*(D+1) + k equal to row v of hops[k]. The band
+    and every hop must be symmetric, as ``graphs.normalize`` makes them:
+    hop_stack then also stacks the transposed hops (row j*(D+1) + k is
+    column j of hops[k]), and band serves as its own transpose. The
+    (VT)^2 operators are never formed: the band acts on the frame axis and
+    the hops on the joint axis.
 
     The band and the hops act on different axes, so they commute; each
     runs on the narrower channel side, all hops in one stacked product.
@@ -460,34 +481,38 @@ def graph_conv(h, weights, band, hops, activation=False):
     1 - y^2 in place from that output, so no pre-activation array is
     kept.
     """
-    t, v = band.shape[0], hops.shape[-1]
+    t, v = band.shape[0], hop_stack.shape[-1]
     k_count = len(weights)
     if h.values.ndim < 2:
         raise DimensionError(f"graph_conv needs a >=2-d input, got {h.shape}")
     lead, (n, c_in) = h.values.shape[:-2], h.values.shape[-2:]
-    if band.shape != (t, t) or hops.shape != (k_count, v, v):
+    if band.shape != (t, t) or hop_stack.shape != (k_count * v, v):
         raise DimensionError(
-            f"graph_conv needs a square band and {k_count} [V, V] hops, "
-            f"got {band.shape} and {hops.shape}"
+            f"graph_conv needs a square band and {k_count} stacked [V, V] hops, "
+            f"got {band.shape} and {hop_stack.shape}"
         )
     if n != t * v:
         raise DimensionError(f"graph has {t * v} nodes, input has {n}")
-    w = np.stack([w_k.values for w_k in weights])
-    if w.shape[1] != c_in:
-        raise DimensionError(f"weights expect {w.shape[1]} channels, input has {c_in}")
-    c_out = w.shape[2]
+    c_w, c_out = weights[0].shape
+    if c_w != c_in:
+        raise DimensionError(f"weights expect {c_w} channels, input has {c_in}")
+    hops_first = c_in < c_out
+    layout = (k_count, c_in, c_out) if hops_first else (c_in, k_count, c_out)
+    if stack.shape != layout or any(w_k.values.base is not stack for w_k in weights):
+        raise ValueError(
+            f"graph_conv weights must be the slices of their {layout} stack; "
+            "build it with stack_weights"
+        )
     x = h.values.reshape(-1, t, v, c_in)
     b = x.shape[0]
-    hops_first = c_in < c_out
     if hops_first:
-        stacked = _stack_hops(hops)
-        z = (stacked @ _apply_band(band, x)).reshape(b * n, k_count * c_in)
-        out_values = (z @ w.reshape(k_count * c_in, c_out)).reshape(*lead, n, c_out)
+        w_cat = stack.reshape(k_count * c_in, c_out)
+        z = (hop_stack @ _apply_band(band, x)).reshape(b * n, k_count * c_in)
+        out_values = (z @ w_cat).reshape(*lead, n, c_out)
     else:
-        # Row j * (D+1) + k is column j of hops[k].
-        stacked = _stack_hops(np.swapaxes(hops, 1, 2))
-        p = x.reshape(b * n, c_in) @ w.transpose(1, 0, 2).reshape(c_in, k_count * c_out)
-        s = stacked.T @ p.reshape(b, t, v * k_count, c_out)
+        w_cat = stack.reshape(c_in, k_count * c_out)
+        p = x.reshape(b * n, c_in) @ w_cat
+        s = hop_stack.T @ p.reshape(b, t, v * k_count, c_out)
         del p                   # D+1 outputs' worth, not needed by the band product
         out_values = _apply_band(band, s).reshape(*lead, n, c_out)
     if activation:
@@ -505,19 +530,19 @@ def graph_conv(h, weights, band, hops, activation=False):
             if w_live:
                 dw = (z.T @ g).reshape(k_count, c_in, c_out)
             if h_live:
-                dz = (g @ w.reshape(k_count * c_in, c_out).T).reshape(b, t, v * k_count, c_in)
-                dx = stacked.T @ dz
+                dz = (g @ w_cat.T).reshape(b, t, v * k_count, c_in)
+                dx = hop_stack.T @ dz
                 del dz                  # D+1 inputs' worth, not needed by the band product
                 dx = _apply_band(band.T, dx)
         else:
             g = _apply_band(band.T, grad.reshape(b, t, v, c_out))
             # dp: all transposed hops applied to g, [B*T*V, (D+1) * C_out].
-            dp = (stacked @ g).reshape(b * n, k_count * c_out)
+            dp = (hop_stack @ g).reshape(b * n, k_count * c_out)
             if w_live:
                 dw = (x.reshape(b * n, c_in).T @ dp).reshape(c_in, k_count, c_out)
                 dw = dw.transpose(1, 0, 2)
             if h_live:
-                dx = dp @ w.transpose(0, 2, 1).reshape(k_count * c_out, c_in)
+                dx = dp @ w_cat.T
         if h_live:
             _accumulate(h, dx.reshape(h.values.shape), True)
         if w_live:

@@ -88,9 +88,12 @@ def _load_windows(path, model_config, skeleton, stride=1):
     return windows
 
 
-def _run_training(config, out_dir, **model_overrides):
+def _check_run(config, **model_overrides):
+    """Read and check everything a training run takes from its config, so a
+    bad value stops the run before anything trains."""
     skeleton = data_io.skeleton_preset(config_value("skeleton", config.get("skeleton"), "str"))
     model_config = _section(ModelConfig, config, "model", **model_overrides)
+    graphs.check_max_hop(skeleton.joint_count, model_config.max_hop)
     train_config = _section(TrainConfig, config, "train")
     horizons = config_value("horizons", config.get("horizons", [model_config.output_frames]),
                             "tuple")
@@ -99,6 +102,11 @@ def _run_training(config, out_dir, **model_overrides):
     stride = config_value("windows.stride", sampling.get("stride", 1), "int")
     if stride < 1:
         raise ValueError(f"windows.stride must be >= 1, got {stride}")
+    return skeleton, model_config, train_config, horizons, stride
+
+
+def _run_training(config, out_dir, run):
+    skeleton, model_config, train_config, horizons, stride = run
     windows = _load_windows(config_value("dataset", config.get("dataset"), "str"),
                             model_config, skeleton, stride)
     model = build_model(skeleton, model_config)
@@ -117,7 +125,7 @@ def _run_training(config, out_dir, **model_overrides):
 def cmd_train(args):
     config = load_config(args.config)
     out_dir = config_value("output_dir", config.get("output_dir", "runs/default"), "str")
-    _run_training(config, out_dir)
+    _run_training(config, out_dir, _check_run(config))
     print(f"wrote checkpoint, train_log.jsonl, eval_report.txt to {out_dir}")
     return EXIT_OK
 
@@ -164,13 +172,17 @@ def cmd_sweep(args):
     hops = config_value("--hops", args.hops.split(","), "tuple")
     horizon = config_value("--horizon", args.horizon, "int")
     base_out = config_value("output_dir", config.get("output_dir", "runs/sweep"), "str")
-    rows = []
+    cells = []              # every cell is checked before the first one trains
     for span in spans:
         for hop in hops:
-            out_dir = os.path.join(base_out, f"L{span}D{hop}")
-            model, windows = _run_training(config, out_dir, span=span, max_hop=hop)
-            report = evaluate(model, windows, [horizon])
-            rows.append((span, hop, report.horizons[horizon]))
+            run = _check_run(config, span=span, max_hop=hop)
+            check_horizons([horizon], run[1].output_frames)
+            cells.append((span, hop, run))
+    rows = []
+    for span, hop, run in cells:
+        model, windows = _run_training(config, os.path.join(base_out, f"L{span}D{hop}"), run)
+        report = evaluate(model, windows, [horizon])
+        rows.append((span, hop, report.horizons[horizon]))
     print(f"L  D  error@{horizon}")
     for span, hop, err in rows:
         print(f"{span}  {hop}  {err:.4f}")

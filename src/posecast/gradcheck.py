@@ -35,17 +35,17 @@ def finite_difference(fn, params, h=STEP):
     """Central-difference gradients of scalar fn() w.r.t. each parameter."""
     grads = []
     for p in params:
+        # Index p.values itself: a layer's weights are strided views of its
+        # stack, which a flattened copy would not write through.
         g = np.zeros_like(p.values)
-        flat = p.values.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in np.ndindex(p.values.shape):
+            orig = p.values[i]
+            p.values[i] = orig + h
             up = fn()
-            flat[i] = orig - h
+            p.values[i] = orig - h
             down = fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            p.values[i] = orig
+            g[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
 
@@ -128,7 +128,9 @@ def _check_sqrt():
 def _check_graph_conv():
     # chain_4 with D=3: only the end joints have a 3-hop neighbour, so
     # hops[3] has zero rows. span >= T fills every band entry; span=1 over
-    # three frames leaves the outer corners of the band zero.
+    # three frames leaves the outer corners of the band zero. 3 -> 4 runs
+    # hops first on a [D+1, C_in, C_out] stack, 4 -> 3 weights first on a
+    # [C_in, D+1, C_out] one.
     rng = _rng()
     partition = build_hop_partition(skeleton_preset("chain_4"), max_hop=3)
     worst = 0.0
@@ -137,10 +139,12 @@ def _check_graph_conv():
         for c_in, c_out in ((3, 4), (4, 3)):
             h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
             weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
+            stack = ad.stack_weights(weights)
             for activation in (False, True):
                 err = check_gradients(
                     lambda: ad.tensor_sum(ad.mul(
-                        o := ad.graph_conv(h, weights, graph.band, graph.hops, activation),
+                        o := ad.graph_conv(h, weights, stack, graph.band, graph.hop_stack,
+                                           activation),
                         o)),
                     [h, *weights],
                 )

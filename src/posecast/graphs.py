@@ -11,8 +11,11 @@ An assembled operator is kron(band, layer_k) with one T x T band shared
 by every hop, and since the degree of node (t, v) is the product of the
 band and layer degrees, its normalization is kron(normalize(band),
 normalize(layer_k)). A PartitionedMultiGraph therefore stores only the
-two normalized factors; only ``dump_multigraph`` forms the (VT)^2
-operators, one at a time.
+two normalized factors, the hop layers stacked row-wise in the layout
+``autodiff.graph_conv`` multiplies by; only ``dump_multigraph`` forms the
+(VT)^2 operators, one at a time. Every factor is symmetric (``normalize``
+accepts only symmetric input and returns an exactly symmetric matrix), so
+the one hop stack also serves as the stack of the transposed hops.
 
 Node (frame t, joint v) maps to flat index t * V + v.
 """
@@ -89,14 +92,21 @@ class PartitionedMultiGraph:
 
     Normalized operator k is kron(band, hops[k]): ``band`` is the
     normalized T x T frame band, ``hops`` the normalized hop layers,
-    shape [D+1, V, V].
+    shape [D+1, V, V]. They are held as ``hop_stack``, shape
+    [V*(D+1), V], whose row v*(D+1) + k is row v of hops[k].
     """
 
     partition: HopPartition
     frame_count: int
     span: int
     band: np.ndarray = field(repr=False)
-    hops: np.ndarray = field(repr=False)
+    hop_stack: np.ndarray = field(repr=False)
+
+    @property
+    def hops(self):
+        """The normalized hop layers [D+1, V, V], a view of ``hop_stack``."""
+        v = self.joint_count
+        return self.hop_stack.reshape(v, -1, v).swapaxes(0, 1)
 
     @property
     def max_hop(self):
@@ -168,12 +178,13 @@ def build_multigraph(partition, frame_count, span):
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
     if span < 0:
         raise ValueError(f"span must be >= 0, got {span}")
+    hops = np.stack([normalize(g_k) for g_k in partition.layers], axis=1)
     return PartitionedMultiGraph(
         partition=partition,
         frame_count=frame_count,
         span=span,
         band=normalize(_frame_band(frame_count, span)),
-        hops=np.stack([normalize(g_k) for g_k in partition.layers]),
+        hop_stack=hops.reshape(-1, partition.joint_count),
     )
 
 

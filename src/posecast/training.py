@@ -48,6 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, config_value(f.name, getattr(self, f.name), f.type))
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:

@@ -207,7 +207,8 @@ ALL_OPS = [
     lambda a: ad.reshape(a, (4,)),
     lambda a: ad.transpose(a, (1, 0)),
     lambda a: ad.tail(a, 1),
-    lambda a: ad.graph_conv(ad.reshape(a, (1, 2, 2)), [a], np.eye(2), np.ones((1, 1, 1))),
+    lambda a: ad.graph_conv(ad.reshape(a, (1, 2, 2)), [a], ad.stack_weights([a]), np.eye(2),
+                            np.ones((1, 1))),
 ]
 
 

@@ -207,6 +207,11 @@ def _train(section=None, **fields):
     return lambda f: f["train_with"](section, **fields)
 
 
+def _sweep(spans, hops, horizon):
+    return lambda f: ["sweep", f["train_with"](None)[1], "--spans", spans, "--hops", hops,
+                      "--horizon", horizon]
+
+
 # name -> (argv builder, fragment the one stderr line must contain)
 MALFORMED = {
     "eval_bad_magic": (_eval("model.pckp", "bad.mgps"), "bad magic"),
@@ -240,6 +245,10 @@ MALFORMED = {
     "train_batch_size_bool": (_train("train", batch_size=True), "batch_size must be an integer"),
     "train_span_fraction": (_train("model", span=1.9), "span must be an integer"),
     "train_seed_past_header": (_train(seed=2**64), "seed does not fit the checkpoint header"),
+    "train_negative_epochs": (_train("train", epochs=-3), "epochs must be >= 0"),
+    "sweep_horizon_beyond_k": (_sweep("0,1", "0,1", "99"), "horizon 99"),
+    "sweep_later_cell_bad_span": (_sweep("0,9", "0", "1"), "span must be in"),
+    "sweep_later_cell_bad_hop": (_sweep("0", "0,9", "1"), "max_hop must be <= V - 1"),
     "graph_dump_max_hop_past_joints": (
         lambda f: ["graph-dump", "h36m22", "--frames", "2", "--span", "1",
                    "--max-hop", "50000000", "--out", f["dump"]], "max_hop"),
@@ -253,13 +262,15 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("argv, fragment", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_exits_2_with_one_line(argv, fragment, bad_inputs, capsys, monkeypatch):
+def test_malformed_input_exits_2_with_one_line(argv, fragment, bad_inputs, capsys, monkeypatch,
+                                               tmp_path):
     monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained on malformed input"))
     assert cli.main(argv(bad_inputs)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert fragment in err
     assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("**/L*D*")), "a sweep cell wrote its run directory"
 
 
 def test_readme_run_config_builds(tmp_path):

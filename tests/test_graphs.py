@@ -199,6 +199,44 @@ class TestFactoredOperators:
                 assert np.abs(op - want).max() <= 1e-15
 
 
+class TestSymmetricFactors:
+    """graph_conv reads hop_stack as the stack of the hops and of their
+    transposes, and the band as its own transpose, so every factor must be
+    symmetric to the bit."""
+
+    @staticmethod
+    def assert_factors_symmetric(mg):
+        assert np.array_equal(mg.band, mg.band.T)
+        for hop in mg.hops:
+            assert np.array_equal(hop, hop.T)
+        k_count = mg.max_hop + 1
+        for v in range(mg.joint_count):        # row v*(D+1) + k is row v of hop k
+            assert np.array_equal(mg.hop_stack[v * k_count: (v + 1) * k_count], mg.hops[:, v])
+
+    @pytest.mark.parametrize("preset", ["chain_2", "chain_4", "chain_8", "chain_13", "h36m22"])
+    def test_presets(self, preset):
+        skeleton = skeleton_preset(preset)
+        for max_hop in range(min(skeleton.joint_count, 5)):
+            p = build_hop_partition(skeleton, max_hop)
+            for layer in p.layers:
+                out = normalize(layer)
+                assert np.array_equal(out, out.T)
+            for frames, span in ((1, 0), (5, 1), (10, 2), (4, 6)):
+                self.assert_factors_symmetric(build_multigraph(p, frames, span))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            g = random_connected_graph(rng, int(rng.integers(2, 13)))
+            p = build_hop_partition(g, int(rng.integers(0, 5)))
+            frames, span = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+            self.assert_factors_symmetric(build_multigraph(p, frames, span))
+            v = g.joint_count
+            weighted = np.triu(rng.random((v, v)) * (rng.random((v, v)) < 0.5), 1)
+            out = normalize(weighted + weighted.T)
+            assert np.array_equal(out, out.T)
+
+
 class TestNormalize:
     def test_identity_unchanged(self):
         assert np.array_equal(normalize(np.eye(4)), np.eye(4))

@@ -263,6 +263,19 @@ class TestFactoredGraphConv:
         with pytest.raises(DimensionError):
             GraphConvLayer(glorot(rng, 3, 3, 3), activation=True).forward(
                 ad.constant(np.zeros((1, 8, 3))), g)
+        with pytest.raises(DimensionError, match="share one shape"):
+            GraphConvLayer(glorot(rng, 3, 5, 1) + glorot(rng, 1, 5, 1), activation=True)
+
+
+def test_weights_must_be_slices_of_the_layer_stack():
+    rng = np.random.default_rng(16)
+    g = multigraph(chain(4), frames=2, span=1, max_hop=1)
+    h = ad.constant(rng.normal(size=(1, 8, 3)))
+    for c_out in (5, 2):
+        layer = GraphConvLayer(glorot(rng, 3, c_out, 2), activation=True)
+        layer.weights[1].values = layer.weights[1].values.copy()
+        with pytest.raises(ValueError, match="slices"):
+            layer.forward(h, g)
 
 
 def test_model_graphs_hold_no_dense_operator():

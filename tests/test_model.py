@@ -20,7 +20,7 @@ from posecast.model import (
     save_checkpoint,
     temporal_align,
 )
-from posecast.training import mpjpe_loss
+from posecast.training import TrainConfig, mpjpe_loss, train
 
 
 def tiny_config(**overrides):
@@ -450,6 +450,72 @@ def test_refine_starts_as_identity():
     with_refine = build_model(skeleton, tiny_config(refine=True)).predict(x)
     without = build_model(skeleton, tiny_config(refine=False)).predict(x)
     assert np.allclose(with_refine, without, atol=1e-15)
+
+
+class TestWeightStacks:
+    """Each layer keeps its D+1 weights in one stack, and the named
+    parameter tensors are views of it, so whatever writes a parameter in
+    place writes the stack the forward pass multiplies by."""
+
+    def setup_method(self):
+        self.skeleton = skeleton_preset("chain_4")
+        # (3, 4, 3) runs one hops-first and one weights-first layer per tower.
+        self.model = build_model(self.skeleton, tiny_config(strategy="anchor"))
+        rng = np.random.default_rng(17)
+        self.x = rng.normal(size=(2, 3, 4, 3))
+        self.y = rng.normal(size=(2, 2, 4, 3))
+
+    def rebuilt(self, model):
+        """A newly built model holding copies of ``model``'s values."""
+        clone = build_model(self.skeleton, model.config)
+        for name, p in clone.params.items():
+            p.values[...] = model.params[name].values
+        return clone
+
+    def adam_step(self):
+        params = self.model.parameters()
+        mpjpe_loss(self.model.forward(self.x).predictions, self.y).backward()
+        ad.adam_step(params, ad.AdamState(params), 1e-2)
+
+    def test_every_weight_is_a_view_of_its_layer_stack(self):
+        m = self.model
+        layers = [layer for tower in (m.v_tower, m.q_tower, m.k_tower, m.refine_tower)
+                  for layer in tower.layers]
+        assert {layer.stack.shape[0] == len(layer.weights) for layer in layers} == {True, False}
+        names = {id(p): name for name, p in m.params.items()}
+        stacked = []
+        for layer in layers:
+            for w in layer.weights:
+                assert np.shares_memory(w.values, layer.stack)
+                stacked.append(names[id(w)])
+        assert sorted(stacked) == sorted(name for name in m.params if name != "tcn")
+
+    def test_adam_step_updates_the_stacks(self):
+        before = self.model.predict(self.x)
+        self.adam_step()
+        after = self.model.predict(self.x)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == self.rebuilt(self.model).predict(self.x).tobytes()
+
+    def test_loaded_values_fill_the_stacks(self, tmp_path):
+        self.adam_step()
+        save_checkpoint(tmp_path / "model.pckp", self.model)
+        loaded = load_checkpoint(tmp_path / "model.pckp")
+        got = loaded.predict(self.x)
+        assert got.tobytes() == self.model.predict(self.x).tobytes()
+        assert got.tobytes() == self.rebuilt(loaded).predict(self.x).tobytes()
+        assert not np.array_equal(got, build_model(self.skeleton, loaded.config).predict(self.x))
+
+    def test_no_call_stacks_weights_or_hops(self, monkeypatch):
+        windows = make_windows([synth_kinematic(4, 12, 4, seed=2)], t_in=3, k_out=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.stack called after the model was built")
+
+        monkeypatch.setattr(np, "stack", refuse)
+        self.model.predict(windows.inputs)
+        train(self.model, windows,
+              TrainConfig(epochs=1, batch_size=len(windows), lr_decay_epochs=()))
 
 
 class TestGradientFlow:

@@ -154,6 +154,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
 
+    def test_negative_epochs_named(self):
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
+            TrainConfig(epochs=-3, lr_decay_epochs=())
+        assert TrainConfig(epochs=0).epochs == 0
+
     def test_fields_coerced(self):
         # YAML reads 1e-2 as a string; library and CLI callers get a float.
         config = TrainConfig(epochs="4", lr_initial="1e-2", lr_decay_epochs=[2])
