@@ -17,6 +17,7 @@ Broadcasting is supported over leading batch dimensions only.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -308,12 +309,28 @@ def tanh(a):
     return Tensor(out_values, _inputs=(a,), _backward=backward)
 
 
+_TANH_BLOCK = 1 << 17      # elements of the derivative formed at a time: 1 MiB
+
+
 def _tanh_grad(y, grad):
-    """grad * (1 - y*y) for y = tanh(x), formed in place in one new array."""
-    d = y * y
-    np.subtract(1.0, d, out=d)
-    d *= grad
-    return d
+    """Multiply ``grad`` in place by tanh's derivative 1 - y*y, y = tanh(x).
+
+    Pass only the gradient of the node whose closure calls this: that array
+    is the node's own, since ``_accumulate`` copies any gradient its closure
+    did not allocate, and the walk drops it once the closure has run. The
+    derivative is formed in blocks along the leading axis, in one temporary
+    of at most ``_TANH_BLOCK`` elements (or one leading index), so any
+    strides work. Returns ``grad``.
+    """
+    g, y = np.atleast_1d(grad), np.atleast_1d(y)
+    step = max(1, _TANH_BLOCK // max(1, math.prod(g.shape[1:])))
+    block = np.empty(y[:step].shape)
+    for i in range(0, len(g), step):
+        y_i = y[i: i + step]
+        d = np.multiply(y_i, y_i, out=block[: len(y_i)])
+        np.subtract(1.0, d, out=d)
+        g[i: i + step] *= d
+    return grad
 
 
 def sqrt(a):
@@ -477,9 +494,9 @@ def graph_conv(h, weights, stack, band, hop_stack, activation=False):
     transposed band first, then all hops stacked. Either way each
     gradient takes one weight product.
 
-    tanh runs in place on the output, and backward forms its derivative
-    1 - y^2 in place from that output, so no pre-activation array is
-    kept.
+    tanh runs in place on the output, and backward multiplies the
+    incoming gradient in place by its derivative 1 - y^2, formed from that
+    output, so neither a pre-activation nor a derivative array is kept.
     """
     t, v = band.shape[0], hop_stack.shape[-1]
     k_count = len(weights)

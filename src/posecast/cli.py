@@ -23,6 +23,7 @@ from . import graphs
 from . import gradcheck as gc
 from .model import ModelConfig, build_model, config_value, load_checkpoint, save_checkpoint
 from .training import (
+    EvalReport,
     NumericalError,
     TrainConfig,
     baseline_report,
@@ -80,9 +81,9 @@ def _load_windows(path, model_config, skeleton, stride=1):
             f"dataset: no windows of length "
             f"{model_config.input_frames + model_config.output_frames} in {path}"
         )
-    if windows.inputs.shape[2] != skeleton.joint_count:
+    if windows.frames.shape[1] != skeleton.joint_count:
         raise ValueError(
-            f"dataset: joint count {windows.inputs.shape[2]} does not match "
+            f"dataset: joint count {windows.frames.shape[1]} does not match "
             f"skeleton ({skeleton.joint_count})"
         )
     return windows
@@ -105,7 +106,9 @@ def _check_run(config, **model_overrides):
     return skeleton, model_config, train_config, horizons, stride
 
 
-def _run_training(config, out_dir, run):
+def _run_training(config, out_dir, run, extra_horizons=()):
+    """Train and write the run's files; returns the evaluation at the config's
+    horizons, which eval_report.txt holds, and at ``extra_horizons``."""
     skeleton, model_config, train_config, horizons, stride = run
     windows = _load_windows(config_value("dataset", config.get("dataset"), "str"),
                             model_config, skeleton, stride)
@@ -116,10 +119,10 @@ def _run_training(config, out_dir, run):
     save_checkpoint(os.path.join(out_dir, "checkpoint.pckp"), model)
     with open(os.path.join(out_dir, "train_log.jsonl"), "w") as f:
         f.writelines(json.dumps(asdict(record)) + "\n" for record in log)
-    report = evaluate(model, windows, horizons)
+    report = evaluate(model, windows, tuple(dict.fromkeys((*horizons, *extra_horizons))))
     with open(os.path.join(out_dir, "eval_report.txt"), "w") as f:
-        f.write(report.format_table() + "\n")
-    return model, windows
+        f.write(EvalReport({h: report.horizons[h] for h in horizons}).format_table() + "\n")
+    return report
 
 
 def cmd_train(args):
@@ -180,8 +183,7 @@ def cmd_sweep(args):
             cells.append((span, hop, run))
     rows = []
     for span, hop, run in cells:
-        model, windows = _run_training(config, os.path.join(base_out, f"L{span}D{hop}"), run)
-        report = evaluate(model, windows, [horizon])
+        report = _run_training(config, os.path.join(base_out, f"L{span}D{hop}"), run, [horizon])
         rows.append((span, hop, report.horizons[horizon]))
     print(f"L  D  error@{horizon}")
     for span, hop, err in rows:

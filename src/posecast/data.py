@@ -11,16 +11,16 @@ The on-disk container ("MGPS") is a flat little-endian binary file:
         uint32  label byte length, followed by that many UTF-8 bytes
         float64 x frames*V*3, frame-major (frame, joint, coordinate)
 
-A CSV import path (header ``frame,joint,x,y,z``) exists for hand-authored
-fixtures. Round-trips through save/load are bit-exact.
+Round-trips through save/load are bit-exact. ``make_windows`` cuts the
+loaded sequences into (input, target) windows without copying them: a
+``WindowSet`` holds every frame once and each window as a start row.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "Reader",
     "save_sequences",
     "load_sequences",
-    "load_csv",
     "make_windows",
     "synth_kinematic",
     "skeleton_preset",
@@ -45,7 +44,7 @@ VERSION = 1
 
 
 class PoseFormatError(ValueError):
-    """Malformed pose container or CSV input."""
+    """Malformed pose container."""
 
 
 class Reader:
@@ -118,16 +117,51 @@ class PoseSequence:
         return self.frames.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WindowSet:
-    """(input, target) frame pairs, consecutive and non-overlapping."""
+    """(T-input, K-target) windows of sequences, as start rows into one
+    buffer that holds every sequence's frames once, back to back.
 
-    inputs: np.ndarray            # [N, T, V, 3]
-    targets: np.ndarray           # [N, K, V, 3]
+    Window i is the T + K rows from ``starts[i]``, cut from sequence
+    ``sequence[i]`` with record label ``labels[sequence[i]]``; windows
+    overlap wherever the stride is below T + K. Only ``gather`` copies
+    frames out: ``batch``, and ``inputs`` and ``targets`` on each access,
+    use it, and ``windows[idx]`` is a subset sharing the buffer.
+    """
+
+    frames: np.ndarray            # [F, V, 3]
+    starts: np.ndarray            # [N] row of each window's first frame
+    sequence: np.ndarray          # [N] index of each window's sequence
+    labels: tuple                 # one per sequence
+    input_frames: int             # T
+    output_frames: int            # K
     skeleton: SkeletonGraph | None = None
 
     def __len__(self):
-        return self.inputs.shape[0]
+        return len(self.starts)
+
+    def __getitem__(self, idx):
+        return replace(self, starts=self.starts[idx], sequence=self.sequence[idx])
+
+    def gather(self, idx, offset):
+        """Frame ``offset`` of each window in ``idx`` (0 is the first input
+        frame, T the first target), [len(idx), V, 3]; an array of offsets
+        adds its axes after the window axis. A new array."""
+        return self.frames[np.add.outer(self.starts[idx], offset)]
+
+    def batch(self, idx):
+        """Inputs [len(idx), T, V, 3] and targets [len(idx), K, V, 3]."""
+        t = self.input_frames
+        return (self.gather(idx, np.arange(t)),
+                self.gather(idx, np.arange(t, t + self.output_frames)))
+
+    @property
+    def inputs(self):
+        return self.batch(slice(None))[0]
+
+    @property
+    def targets(self):
+        return self.batch(slice(None))[1]
 
 
 def save_sequences(path, sequences):
@@ -178,68 +212,24 @@ def load_sequences(path):
     return sequences
 
 
-def load_csv(path, rate=25.0, label=""):
-    """Read a frame,joint,x,y,z table into a single PoseSequence.
-
-    Every (frame, joint) pair from (0, 0) up to the largest frame and joint
-    index must appear exactly once.
-    """
-    rows = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        required = {"frame", "joint", "x", "y", "z"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise PoseFormatError(
-                f"CSV header must contain {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                key = (int(row["frame"]), int(row["joint"]))
-                xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
-            except (TypeError, ValueError) as exc:
-                raise PoseFormatError(f"bad CSV record at line {lineno}: {exc}") from exc
-            if min(key) < 0:
-                raise PoseFormatError(f"negative frame or joint index at line {lineno}")
-            if key in rows:
-                raise PoseFormatError(
-                    f"second row for frame {key[0]}, joint {key[1]} at line {lineno}"
-                )
-            rows[key] = xyz
-    if not rows:
-        return PoseSequence(frames=np.zeros((0, 1, 3)), rate=rate, label=label)
-    n_frames = max(f for f, _ in rows) + 1
-    v = max(j for _, j in rows) + 1
-    if len(rows) < n_frames * v:
-        f_idx, j_idx = next(key for key in np.ndindex(n_frames, v) if key not in rows)
-        raise PoseFormatError(
-            f"CSV has no row for frame {f_idx}, joint {j_idx} "
-            f"({n_frames} frames x {v} joints expected)"
-        )
-    frames = np.zeros((n_frames, v, 3))
-    for (f_idx, j_idx), xyz in rows.items():
-        frames[f_idx, j_idx] = xyz
-    return PoseSequence(frames=frames, rate=rate, label=label)
-
-
 def make_windows(sequences, t_in, k_out, stride=1, skeleton=None):
-    """All maximal (T-input, K-target) windows at the given stride."""
+    """All maximal (T-input, K-target) windows at the given stride, over
+    one copy of the sequences' frames."""
     if t_in < 1 or k_out < 1 or stride < 1:
         raise ValueError("t_in, k_out, and stride must all be >= 1")
-    inputs, targets = [], []
-    span = t_in + k_out
-    for seq in sequences:
-        for start in range(0, len(seq) - span + 1, stride):
-            inputs.append(seq.frames[start: start + t_in])
-            targets.append(seq.frames[start + t_in: start + span])
-    if not inputs:
-        v = sequences[0].joint_count if sequences else 0
-        return WindowSet(
-            inputs=np.zeros((0, t_in, v, 3)),
-            targets=np.zeros((0, k_out, v, 3)),
-            skeleton=skeleton,
-        )
+    joint_counts = {seq.joint_count for seq in sequences}
+    if len(joint_counts) > 1:
+        raise ValueError(f"sequences disagree on joint count: {sorted(joint_counts)}")
+    ends = np.cumsum([len(seq) for seq in sequences], dtype=np.intp)
+    starts = [np.arange(end - len(seq), end - t_in - k_out + 1, stride, dtype=np.intp)
+              for seq, end in zip(sequences, ends)]
     return WindowSet(
-        inputs=np.stack(inputs), targets=np.stack(targets), skeleton=skeleton
+        frames=np.concatenate([seq.frames for seq in sequences]) if sequences
+        else np.zeros((0, 0, 3)),
+        starts=np.concatenate([np.zeros(0, np.intp), *starts]),
+        sequence=np.repeat(np.arange(len(starts)), [len(s) for s in starts]),
+        labels=tuple(seq.label for seq in sequences),
+        input_frames=t_in, output_frames=k_out, skeleton=skeleton,
     )
 
 

@@ -174,8 +174,7 @@ def _check_end_to_end():
     model = build_model(skeleton, config)
     seq = synth_kinematic(v_chain=4, frames=12, period=6, seed=3)
     windows = make_windows([seq], t_in=3, k_out=2)
-    x = windows.inputs[:2]
-    y = windows.targets[:2]
+    x, y = windows.batch(slice(2))
     params = model.parameters()
 
     def build_loss():

@@ -39,7 +39,6 @@ __all__ = [
     "build_multigraph",
     "normalize",
     "write_operator",
-    "read_operator",
     "dump_multigraph",
 ]
 
@@ -209,22 +208,6 @@ def write_operator(path, matrix, joint_count, frame_count, span, max_hop, hop):
         f.write(f"{joint_count} {frame_count} {span} {max_hop} {hop}\n")
         for row in np.asarray(matrix):
             f.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_operator(path):
-    """Inverse of write_operator; returns (matrix, header dict)."""
-    with open(path) as f:
-        fields = f.readline().split()
-        if len(fields) != 5:
-            raise ValueError(f"bad operator header in {path}: expected 'V T L D k'")
-        v, t, span, max_hop, hop = (int(x) for x in fields)
-        matrix = np.array([[float(x) for x in line.split()] for line in f])
-    header = {"V": v, "T": t, "L": span, "D": max_hop, "k": hop}
-    if matrix.shape != (v * t, v * t):
-        raise ValueError(
-            f"operator in {path} has shape {matrix.shape}, header implies {(v * t, v * t)}"
-        )
-    return matrix, header
 
 
 def dump_multigraph(multigraph, out_dir):

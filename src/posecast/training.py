@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
-from .model import config_value
+from .model import PREDICT_CHUNK, config_value
 
 __all__ = [
     "TrainConfig",
@@ -124,8 +124,7 @@ def train(model, windows, config):
     factor exactly at the configured epoch indices. All shuffling comes
     from the config seed.
     """
-    if len(windows) == 0:
-        raise ValueError("cannot train on an empty window set")
+    _require_windows(windows, "train")
     params = model.parameters()
     state = AdamState(params)
     rng = np.random.default_rng(config.seed)
@@ -138,8 +137,8 @@ def train(model, windows, config):
         losses = []
         for start in range(0, len(order), config.batch_size):
             idx = order[start: start + config.batch_size]
-            out = model.forward(windows.inputs[idx])
-            loss = mpjpe_loss(out.predictions, windows.targets[idx])
+            inputs, targets = windows.batch(idx)
+            loss = mpjpe_loss(model.forward(inputs).predictions, targets)
             value = loss.item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
@@ -166,31 +165,41 @@ def check_horizons(horizons, k):
             raise ValueError(f"horizon {h} outside prediction range [1, {k}]")
 
 
+def _require_windows(windows, action):
+    if len(windows) == 0:
+        raise ValueError(f"cannot {action} on an empty window set")
+
+
 def evaluate(model, windows, horizons):
     """Per-horizon error at the single target frame, averaged over windows.
 
     Horizons are 1-based frame offsets into the prediction (horizon h is
-    predicted frame h).
+    predicted frame h). Predicts PREDICT_CHUNK windows at a time and gathers
+    only the target frames it scores.
     """
-    check_horizons(horizons, windows.targets.shape[1])
-    preds = model.predict(windows.inputs)
-    report = {}
-    for h in horizons:
-        report[h] = mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])
-    return EvalReport(horizons=report)
+    _require_windows(windows, "evaluate")
+    t = windows.input_frames
+    check_horizons(horizons, windows.output_frames)
+    scored = np.asarray(horizons, dtype=np.intp) - 1
+    errors = np.empty((len(scored), len(windows), windows.frames.shape[1]))
+    for start in range(0, len(windows), PREDICT_CHUNK):
+        idx = slice(start, start + PREDICT_CHUNK)
+        preds = model.predict(windows.gather(idx, np.arange(t)))
+        diff = preds[:, scored] - windows.gather(idx, t + scored)
+        errors[:, idx] = np.linalg.norm(diff, axis=-1).transpose(1, 0, 2)
+    return EvalReport(horizons={h: float(row.mean()) for h, row in zip(horizons, errors)})
 
 
 def zero_velocity_baseline(inputs, k_out):
     """Repeat each window's last observed frame for all k_out future frames."""
-    inputs = np.asarray(inputs)
-    last = inputs[:, -1:]
-    return np.repeat(last, k_out, axis=1)
+    return np.repeat(np.asarray(inputs)[:, -1:], k_out, axis=1)
 
 
 def baseline_report(windows, horizons):
-    k = windows.targets.shape[1]
-    preds = zero_velocity_baseline(windows.inputs, k)
-    return EvalReport(
-        horizons={h: mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])
-                  for h in horizons}
-    )
+    """evaluate's table for the copy-last-frame forecast."""
+    _require_windows(windows, "score the baseline")
+    t = windows.input_frames
+    check_horizons(horizons, windows.output_frames)
+    last = windows.gather(slice(None), t - 1)
+    return EvalReport({h: mpjpe_value(last, windows.gather(slice(None), t + h - 1))
+                       for h in horizons})

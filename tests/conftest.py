@@ -1,0 +1,31 @@
+"""Helpers shared by the test modules."""
+
+import os
+from pathlib import Path
+
+import numpy as np
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    """The environment for a child Python process, with this checkout's
+    ``src`` first on PYTHONPATH so that the child imports the same posecast."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def read_operator(path):
+    """Inverse of ``graphs.write_operator``; returns (matrix, header dict)."""
+    with open(path) as f:
+        fields = f.readline().split()
+        if len(fields) != 5:
+            raise ValueError(f"bad operator header in {path}: expected 'V T L D k'")
+        v, t, span, max_hop, hop = (int(x) for x in fields)
+        matrix = np.array([[float(x) for x in line.split()] for line in f])
+    header = {"V": v, "T": t, "L": span, "D": max_hop, "k": hop}
+    if matrix.shape != (v * t, v * t):
+        raise ValueError(
+            f"operator in {path} has shape {matrix.shape}, header implies {(v * t, v * t)}"
+        )
+    return matrix, header

@@ -177,9 +177,7 @@ def test_08_training_learns_periodic_motion():
 
 def test_09_overfits_one_batch():
     seq = synth_kinematic(5, frames=40, period=8, seed=2, amplitude=0.5)
-    windows = make_windows([seq], t_in=4, k_out=3)
-    windows.inputs = windows.inputs[:8]
-    windows.targets = windows.targets[:8]
+    windows = make_windows([seq], t_in=4, k_out=3)[:8]
     config = ModelConfig(
         input_frames=4, output_frames=3, span=1, max_hop=2,
         strategy="pseudo_autoregressive",

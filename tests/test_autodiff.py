@@ -80,6 +80,23 @@ def test_activation_gradient_bytes_match_formula():
     assert x.grad.tobytes() == (weights * (1.0 - y.values * y.values)).tobytes()
 
 
+@pytest.mark.parametrize("shape, view", [
+    ((), None), ((7,), None), ((0, 5), None),
+    ((300, 1000), None),                        # three blocks, the last one short
+    ((40, 9, 600), lambda a: a.transpose(1, 0, 2)),
+    ((300, 1000), lambda a: a[::-2, ::3]),
+])
+def test_tanh_grad_forms_the_derivative_in_the_gradient(shape, view):
+    rng = np.random.default_rng(4)
+    y = np.tanh(rng.normal(size=shape))
+    grad = rng.normal(size=shape)
+    if view is not None:
+        y, grad = view(y), view(grad)
+    expected = (1.0 - y * y) * grad
+    assert ad._tanh_grad(y, grad) is grad
+    assert grad.tobytes() == expected.tobytes()
+
+
 class TestMaskedSoftmax:
     def test_symmetric_scores(self):
         out = ad.masked_softmax(ad.constant([0.0, 0.0]), [True, True], axis=-1)

@@ -8,10 +8,13 @@ import pytest
 import yaml
 
 from posecast import cli, gradcheck
-from posecast.data import save_sequences, skeleton_preset, synth_kinematic
-from posecast.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from posecast.training import TrainConfig, check_horizons
-from posecast.graphs import read_operator
+from posecast.data import (load_sequences, make_windows, save_sequences, skeleton_preset,
+                           synth_kinematic)
+from posecast.model import (PREDICT_CHUNK, ForecastModel, ModelConfig, build_model,
+                            load_checkpoint, save_checkpoint)
+from posecast.training import TrainConfig, check_horizons, evaluate
+
+from conftest import read_operator
 
 
 @pytest.fixture
@@ -162,6 +165,30 @@ def test_sweep_command(run_config, tmp_path, capsys):
     for span in (0, 1):
         for hop in (0, 1):
             assert (tmp_path / "run" / f"L{span}D{hop}" / "checkpoint.pckp").exists()
+
+
+def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset, capsys,
+                                                  monkeypatch):
+    path, config = run_config
+    config["train"]["epochs"] = 1
+    config["train"]["lr_decay_epochs"] = []
+    path.write_text(yaml.safe_dump(config))
+    predicted = []
+    predict = ForecastModel.predict
+    monkeypatch.setattr(ForecastModel, "predict",
+                        lambda self, x: predicted.append(len(x)) or predict(self, x))
+    assert cli.main(["sweep", str(path), "--spans", "0,1", "--hops", "0",
+                     "--horizon", "2"]) == 0
+    windows = make_windows(load_sequences(dataset), 4, 3)
+    assert sum(predicted) == 2 * len(windows)
+    assert len(predicted) == 2 * -(-len(windows) // PREDICT_CHUNK)
+    rows = capsys.readouterr().out.splitlines()
+    cell = tmp_path / "run" / "L1D0"
+    # The report holds the config's horizons only; the printed error is
+    # the one an eval of the written checkpoint gives.
+    assert (cell / "eval_report.txt").read_text().splitlines()[0].split() == ["horizon", "1", "3"]
+    error = evaluate(load_checkpoint(cell / "checkpoint.pckp"), windows, [2]).horizons[2]
+    assert rows == ["L  D  error@2", rows[1], f"1  0  {error:.4f}"]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from posecast.data import (
     PoseFormatError,
     PoseSequence,
-    load_csv,
     load_sequences,
     make_windows,
     save_sequences,
@@ -117,57 +117,6 @@ class TestContainerFormat:
             load_sequences(path)
 
 
-class TestCsvImport:
-    def test_basic_table(self, tmp_path):
-        path = tmp_path / "poses.csv"
-        path.write_text(
-            "frame,joint,x,y,z\n"
-            "0,0,1.0,2.0,3.0\n"
-            "0,1,4.0,5.0,6.0\n"
-            "1,0,7.0,8.0,9.0\n"
-            "1,1,10.0,11.0,12.0\n"
-        )
-        seq = load_csv(path)
-        assert seq.frames.shape == (2, 2, 3)
-        assert np.array_equal(seq.frames[1, 1], [10.0, 11.0, 12.0])
-
-    def test_missing_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("frame,joint,x,y\n0,0,1,2\n")
-        with pytest.raises(PoseFormatError, match="header"):
-            load_csv(path)
-
-    @pytest.mark.parametrize("dropped, fragment", [
-        (2, "frame 0, joint 1"),
-        (3, "frame 1, joint 0"),
-        (4, "frame 1, joint 1"),
-    ])
-    def test_missing_row_named(self, tmp_path, dropped, fragment):
-        lines = ["frame,joint,x,y,z", "0,0,1,2,3", "0,1,4,5,6", "1,0,7,8,9",
-                 "1,1,10,11,12", "2,1,13,14,15", "2,0,16,17,18"]
-        del lines[dropped]
-        path = tmp_path / "gap.csv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PoseFormatError, match=fragment):
-            load_csv(path)
-
-    @pytest.mark.parametrize("row, fragment", [
-        ("-1,0,1,2,3", "negative"),
-        ("0,0,1,2,3", "second row for frame 0, joint 0 at line 3"),
-    ])
-    def test_negative_or_repeated_row_rejected(self, tmp_path, row, fragment):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"frame,joint,x,y,z\n0,0,1,2,3\n{row}\n")
-        with pytest.raises(PoseFormatError, match=fragment):
-            load_csv(path)
-
-    def test_bad_value_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("frame,joint,x,y,z\n0,0,one,2,3\n")
-        with pytest.raises(PoseFormatError, match="line 2"):
-            load_csv(path)
-
-
 class TestWindows:
     def test_exactly_one_window(self):
         seq = PoseSequence(frames=np.zeros((35, 2, 3)))
@@ -203,6 +152,92 @@ class TestWindows:
             start = i * 2
             assert np.array_equal(windows.inputs[i], frames[start:start + 3])
             assert np.array_equal(windows.targets[i], frames[start + 3:start + 5])
+
+
+def copied_windows(sequences, t_in, k_out, stride):
+    """Windows copied out one by one, as make_windows once stored them:
+    stacked inputs, stacked targets and each window's sequence index."""
+    inputs, targets, sequence = [], [], []
+    for i, seq in enumerate(sequences):
+        for start in range(0, len(seq) - t_in - k_out + 1, stride):
+            inputs.append(seq.frames[start: start + t_in])
+            targets.append(seq.frames[start + t_in: start + t_in + k_out])
+            sequence.append(i)
+    return np.stack(inputs), np.stack(targets), sequence
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWindowBuffer:
+    def sequences(self):
+        # Lengths below, at and above T + K = 7, with distinct labels.
+        return [synth_kinematic(4, n, period=5, seed=n, label=f"take{i}")
+                for i, n in enumerate((19, 3, 7, 12, 6, 25))]
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_gathers_match_copied_windows(self, stride):
+        seqs = self.sequences()
+        windows = make_windows(seqs, 4, 3, stride=stride)
+        inputs, targets, _ = copied_windows(seqs, 4, 3, stride)
+        assert same_bytes(windows.inputs, inputs) and same_bytes(windows.targets, targets)
+        rng = np.random.default_rng(stride)
+        for idx in (rng.permutation(len(windows)), rng.permutation(len(windows))[:5],
+                    np.array([3, 3, 0]), slice(2, 9), slice(None, None, 3)):
+            x, y = windows.batch(idx)
+            assert same_bytes(x, inputs[idx]) and same_bytes(y, targets[idx])
+            subset = windows[idx]
+            assert subset.frames is windows.frames
+            assert same_bytes(subset.inputs, inputs[idx])
+            assert same_bytes(subset.targets, targets[idx])
+            assert same_bytes(subset.batch(slice(1, 3))[1], targets[idx][1:3])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_sequence_index_and_label(self, stride):
+        seqs = self.sequences()
+        windows = make_windows(seqs, 4, 3, stride=stride)
+        _, _, sequence = copied_windows(seqs, 4, 3, stride)
+        assert windows.sequence.tolist() == sequence
+        assert windows.labels == tuple(f"take{i}" for i in range(len(seqs)))
+        assert [windows.labels[i] for i in windows[::2].sequence] == \
+            [f"take{i}" for i in sequence[::2]]
+
+    def test_frames_held_once(self):
+        seqs = self.sequences()
+        windows = make_windows(seqs, 4, 3)
+        assert windows.frames.shape == (sum(len(s) for s in seqs), 4, 3)
+        with pytest.raises(AttributeError):
+            windows.inputs = windows.inputs[:2]
+
+    def test_empty_set_keeps_window_shape(self):
+        windows = make_windows([synth_kinematic(4, 5, 4)], 4, 3)
+        assert len(windows) == 0
+        assert windows.inputs.shape == (0, 4, 4, 3) and windows.targets.shape == (0, 3, 4, 3)
+        assert windows.batch([])[0].shape == (0, 4, 4, 3)
+        assert make_windows([], 4, 3).inputs.shape == (0, 4, 0, 3)
+
+    def test_mixed_joint_counts_named(self):
+        seqs = [synth_kinematic(4, 9, 4), synth_kinematic(5, 9, 4)]
+        with pytest.raises(ValueError, match="joint count"):
+            make_windows(seqs, 4, 3)
+
+    def test_building_allocates_under_twice_the_frames(self):
+        # Ten 22-joint 2,000-frame sequences: 19,660 windows of T=10, K=25,
+        # which copied one by one took x34 the frames.
+        rng = np.random.default_rng(0)
+        seqs = [PoseSequence(frames=rng.normal(size=(2000, 22, 3))) for _ in range(10)]
+        frame_bytes = sum(s.frames.nbytes for s in seqs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            windows = make_windows(seqs, 10, 25)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 19_660
+        assert peak < 2 * frame_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSyntheticMotion:

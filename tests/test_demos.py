@@ -1,11 +1,12 @@
 """Every demo script runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,8 +18,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    src = str(ROOT / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                         text=True, timeout=120, env=child_env())
     assert run.returncode == 0, run.stderr

@@ -10,8 +10,9 @@ from posecast.graphs import (
     dump_multigraph,
     hop_distances,
     normalize,
-    read_operator,
 )
+
+from conftest import read_operator
 
 
 def chain(n):

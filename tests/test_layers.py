@@ -254,6 +254,30 @@ class TestFactoredGraphConv:
             tracemalloc.stop()
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize("h_live", [True, False])
+    def test_activation_backward_forms_no_derivative_array(self, h_live):
+        # The same 32->64 layer's backward. With an input gradient it holds
+        # the stacked input gradient [B*T*V, 4*32] and one band product;
+        # without, only dw. The tanh derivative, formed as a new array, is
+        # a whole output: it does not fit in half of one.
+        g = multigraph(skeleton_preset("h36m22"), frames=10, span=2, max_hop=3)
+        rng = np.random.default_rng(17)
+        b, c_in, c_out = 32, 32, 64
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        h = ad.Tensor(rng.normal(size=(b, g.node_count, c_in)), requires_grad=h_live)
+        out = layer.forward(h, g)
+        grad = rng.normal(size=out.shape)
+        bound = 8 * b * g.node_count * (5 * c_in * h_live + c_out // 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out._backward(grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
     def test_channel_and_partition_mismatch(self):
         rng = np.random.default_rng(13)
         g = multigraph(chain(4), frames=2, span=1, max_hop=1)

@@ -15,12 +15,11 @@ derandomized with a fixed example count, so every run draws the same
 files and edits.
 """
 
-import os
 import subprocess
 import sys
 import textwrap
 
-import posecast
+from conftest import child_env
 
 EXAMPLES = 150        # per loader
 
@@ -142,9 +141,6 @@ CHILD = textwrap.dedent("""
 
 
 def test_one_byte_edit_loads_or_raises_value_error(tmp_path):
-    src = os.path.dirname(os.path.dirname(posecast.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     run = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), str(EXAMPLES)],
-                         capture_output=True, text=True, timeout=120, env=env)
+                         capture_output=True, text=True, timeout=120, env=child_env())
     assert run.returncode == 0 and run.stdout.split() == ["ok"], run.stdout + run.stderr

@@ -22,6 +22,8 @@ from posecast.model import (
 )
 from posecast.training import TrainConfig, mpjpe_loss, train
 
+from conftest import child_env
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -179,7 +181,7 @@ class TestForward:
             print(time.perf_counter() - start < 1.0)
         """)
         run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                             text=True, timeout=60)
+                             text=True, timeout=60, env=child_env())
         assert run.returncode == 0, run.stderr
         error, fast = run.stdout.splitlines()
         assert error.startswith("ValueError max_hop") and "V=22" in error, error
@@ -421,7 +423,7 @@ class TestCheckpoint:
                 print(type(exc).__name__, exc)
         """)
         run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                             text=True, timeout=60)
+                             text=True, timeout=60, env=child_env())
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("ValueError truncated checkpoint at byte"), run.stdout
 

@@ -5,8 +5,8 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast.autodiff import DimensionError
-from posecast.data import WindowSet, make_windows, skeleton_preset, synth_kinematic
-from posecast.model import ModelConfig, build_model
+from posecast.data import make_windows, skeleton_preset, synth_kinematic
+from posecast.model import PREDICT_CHUNK, ModelConfig, build_model
 from posecast.training import (
     NumericalError,
     TrainConfig,
@@ -111,7 +111,7 @@ class TestTrainLoop:
         before = mpjpe_value(model.predict(x), y)
         config = TrainConfig(epochs=1, batch_size=8, lr_initial=1e-4,
                              lr_decay_epochs=(), clip_norm=None, seed=0)
-        train(model, WindowSet(inputs=x, targets=y), config)
+        train(model, windows[:8], config)
         after = mpjpe_value(model.predict(x), y)
         assert after < before
 
@@ -132,9 +132,7 @@ class TestTrainLoop:
 
     def test_overfit_small_batch(self):
         model = tiny_model(seed=5)
-        windows = tiny_windows(seed=5)
-        windows.inputs = windows.inputs[:8]
-        windows.targets = windows.targets[:8]
+        windows = tiny_windows(seed=5)[:8]
         config = TrainConfig(epochs=200, batch_size=8, lr_initial=0.02,
                              lr_decay_epochs=(), seed=0)
         log = train(model, windows, config)
@@ -217,9 +215,34 @@ class TestEvaluate:
                     n += 1
             assert report.horizons[h] == pytest.approx(total / n, abs=1e-12)
 
+    @pytest.mark.parametrize("score, action", [
+        (lambda w: evaluate(tiny_model(), w, [1]), "evaluate"),
+        (lambda w: baseline_report(w, [1]), "score the baseline"),
+    ])
+    def test_empty_set_named(self, score, action):
+        windows = make_windows([synth_kinematic(4, 5, 4)], 4, 3)
+        with pytest.raises(ValueError, match=f"cannot {action} on an empty window set"):
+            score(windows)
+
+    def test_chunked_evaluation_matches_whole_batch(self):
+        # More windows than one predict chunk, horizons in any order.
+        model = tiny_model()
+        windows = make_windows([synth_kinematic(5, 90, 8, seed=s) for s in range(2)], 4, 3)
+        assert len(windows) > 2 * PREDICT_CHUNK
+        preds = model.predict(windows.inputs)
+        report = evaluate(model, windows, [3, 1, 2])
+        baseline = baseline_report(windows, [2, 3])
+        last = zero_velocity_baseline(windows.inputs, 3)
+        for h in (1, 2, 3):
+            assert report.horizons[h] == mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])
+        for h in (2, 3):
+            assert baseline.horizons[h] == mpjpe_value(last[:, h - 1], windows.targets[:, h - 1])
+
     def test_horizon_out_of_range(self):
         with pytest.raises(ValueError):
             evaluate(tiny_model(), tiny_windows(), horizons=[4])
+        with pytest.raises(ValueError, match="horizon 4 outside"):
+            baseline_report(tiny_windows(), horizons=[4])
 
     def test_report_table_lists_horizons(self):
         report = evaluate(tiny_model(), tiny_windows(), horizons=[1, 2, 3])
