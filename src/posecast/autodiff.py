@@ -68,6 +68,7 @@ def _tune_allocator():
 
 
 _allocator_tuned = _tune_allocator()
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8      # Adam's moment decays and denominator floor
 
 
 class DimensionError(ValueError):
@@ -447,39 +448,40 @@ def _apply_band(band, x):
     return (band @ x.reshape(b, t, v * c)).reshape(b, t, v, c)
 
 
+def _stack_layout(k_count, c_in, c_out):
+    """A layer's weight stack: [D+1, C_in, C_out] if it widens, else [C_in, D+1, C_out]."""
+    return (k_count, c_in, c_out) if c_in < c_out else (c_in, k_count, c_out)
+
+
 def stack_weights(weights):
     """Copy one layer's D+1 weights [C_in, C_out] into one new array, the
     stack graph_conv multiplies by, and make each tensor's values a view of
-    its slice; returns the stack. It is [D+1, C_in, C_out] when C_in < C_out
-    and [C_in, D+1, C_out] otherwise, so both weight products are reshapes
-    of it. In-place writes to the tensors (an Adam step, loading a
-    checkpoint) are then writes to the stack.
-    """
+    its slice. ``_stack_layout`` makes both weight products reshapes of it.
+    In-place writes to the tensors (an Adam step, loading a checkpoint) are
+    then writes to the stack."""
     c_in, c_out = weights[0].shape
     if any(w.shape != (c_in, c_out) for w in weights):
         raise DimensionError(f"a layer's weights must share one shape, got "
                              f"{[w.shape for w in weights]}")
-    hops_first = c_in < c_out
-    stack = np.empty((len(weights), c_in, c_out) if hops_first else (c_in, len(weights), c_out))
-    for w, view in zip(weights, stack if hops_first else stack.swapaxes(0, 1)):
+    stack = np.empty(_stack_layout(len(weights), c_in, c_out))
+    for w, view in zip(weights, stack if c_in < c_out else stack.swapaxes(0, 1)):
         view[...] = w.values
         w.values = view
-    return stack
 
 
-def graph_conv(h, weights, stack, band, hop_stack, activation=False):
-    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k], then
-    tanh if ``activation`` is set.
+def graph_conv(h, weights, band, hop_stack, activation=False):
+    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k] on
+    poses, then tanh if ``activation`` is set: h [..., T, V, C_in] ->
+    [..., T, V, C_out].
 
-    h: [..., T*V, C_in] with node (frame t, joint v) at row t * V + v;
-    weights: D+1 tensors [C_in, C_out] whose values are the slices of
-    ``stack``, as ``stack_weights`` leaves them; band: [T, T]; hop_stack:
-    [V*(D+1), V] with row v*(D+1) + k equal to row v of hops[k]. The band
-    and every hop must be symmetric, as ``graphs.normalize`` makes them:
-    hop_stack then also stacks the transposed hops (row j*(D+1) + k is
-    column j of hops[k]), and band serves as its own transpose. The
-    (VT)^2 operators are never formed: the band acts on the frame axis and
-    the hops on the joint axis.
+    weights: D+1 tensors [C_in, C_out] whose values are the slices of one
+    stack, as ``stack_weights`` leaves them (found as their ``.base``);
+    band: [T, T]; hop_stack: [V*(D+1), V] with row v*(D+1) + k equal to
+    row v of hops[k]. The band and every hop must be symmetric, as
+    ``graphs.normalize`` makes them: hop_stack then also stacks the
+    transposed hops (row j*(D+1) + k is column j of hops[k]), and band
+    serves as its own transpose. The (VT)^2 operators are never formed:
+    the band acts on the frame axis and the hops on the joint axis.
 
     The band and the hops act on different axes, so they commute; each
     runs on the narrower channel side, all hops in one stacked product.
@@ -500,24 +502,23 @@ def graph_conv(h, weights, stack, band, hop_stack, activation=False):
     """
     t, v = band.shape[0], hop_stack.shape[-1]
     k_count = len(weights)
-    if h.values.ndim < 2:
-        raise DimensionError(f"graph_conv needs a >=2-d input, got {h.shape}")
-    lead, (n, c_in) = h.values.shape[:-2], h.values.shape[-2:]
     if band.shape != (t, t) or hop_stack.shape != (k_count * v, v):
         raise DimensionError(
             f"graph_conv needs a square band and {k_count} stacked [V, V] hops, "
             f"got {band.shape} and {hop_stack.shape}"
         )
-    if n != t * v:
-        raise DimensionError(f"graph has {t * v} nodes, input has {n}")
+    if h.values.shape[-3:-1] != (t, v):
+        raise DimensionError(f"graph has T={t} frames of V={v} joints, input is {h.shape}")
+    lead, c_in, n = h.values.shape[:-3], h.values.shape[-1], t * v
     c_w, c_out = weights[0].shape
     if c_w != c_in:
         raise DimensionError(f"weights expect {c_w} channels, input has {c_in}")
     hops_first = c_in < c_out
-    layout = (k_count, c_in, c_out) if hops_first else (c_in, k_count, c_out)
-    if stack.shape != layout or any(w_k.values.base is not stack for w_k in weights):
+    layout = _stack_layout(k_count, c_in, c_out)
+    stack = weights[0].values.base
+    if stack is None or stack.shape != layout or any(w.values.base is not stack for w in weights):
         raise ValueError(
-            f"graph_conv weights must be the slices of their {layout} stack; "
+            f"graph_conv weights must be the slices of one {layout} stack; "
             "build it with stack_weights"
         )
     x = h.values.reshape(-1, t, v, c_in)
@@ -525,13 +526,13 @@ def graph_conv(h, weights, stack, band, hop_stack, activation=False):
     if hops_first:
         w_cat = stack.reshape(k_count * c_in, c_out)
         z = (hop_stack @ _apply_band(band, x)).reshape(b * n, k_count * c_in)
-        out_values = (z @ w_cat).reshape(*lead, n, c_out)
+        out_values = (z @ w_cat).reshape(*lead, t, v, c_out)
     else:
         w_cat = stack.reshape(c_in, k_count * c_out)
         p = x.reshape(b * n, c_in) @ w_cat
         s = hop_stack.T @ p.reshape(b, t, v * k_count, c_out)
         del p                   # D+1 outputs' worth, not needed by the band product
-        out_values = _apply_band(band, s).reshape(*lead, n, c_out)
+        out_values = _apply_band(band, s).reshape(*lead, t, v, c_out)
     if activation:
         np.tanh(out_values, out=out_values)
     if not _needs_graph(h, *weights):
@@ -573,10 +574,7 @@ def graph_conv(h, weights, stack, band, hop_stack, activation=False):
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+    def __init__(self, params):
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.values) for p in params]
         self.second_moment = [np.zeros_like(p.values) for p in params]
@@ -591,11 +589,10 @@ def adam_step(params, state, lr):
             )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     for i, p in enumerate(params):
         g = p.grad
-        state.first_moment[i] = b1 * state.first_moment[i] + (1.0 - b1) * g
-        state.second_moment[i] = b2 * state.second_moment[i] + (1.0 - b2) * g * g
-        m_hat = state.first_moment[i] / (1.0 - b1**t)
-        v_hat = state.second_moment[i] / (1.0 - b2**t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        state.first_moment[i] = BETA1 * state.first_moment[i] + (1.0 - BETA1) * g
+        state.second_moment[i] = BETA2 * state.second_moment[i] + (1.0 - BETA2) * g * g
+        m_hat = state.first_moment[i] / (1.0 - BETA1**t)
+        v_hat = state.second_moment[i] / (1.0 - BETA2**t)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)

@@ -81,11 +81,6 @@ def _load_windows(path, model_config, skeleton, stride=1):
             f"dataset: no windows of length "
             f"{model_config.input_frames + model_config.output_frames} in {path}"
         )
-    if windows.frames.shape[1] != skeleton.joint_count:
-        raise ValueError(
-            f"dataset: joint count {windows.frames.shape[1]} does not match "
-            f"skeleton ({skeleton.joint_count})"
-        )
     return windows
 
 
@@ -138,17 +133,11 @@ def cmd_eval(args):
     horizons = config_value("--horizons", args.horizons.split(","), "tuple")
     windows = _load_windows(args.dataset, model.config, model.skeleton)
     report = evaluate(model, windows, horizons)
-    extra = None
-    if args.baseline:
-        extra = {"baseline": baseline_report(windows, horizons).horizons}
-    table = report.format_table(extra_rows=extra)
-    print(table)
+    extra = {"baseline": baseline_report(windows, horizons).horizons} if args.baseline else {}
+    print(report.format_table(extra_rows=extra))
     if args.out:
-        payload = {"horizons": report.horizons}
-        if extra:
-            payload["baseline"] = extra["baseline"]
         with open(args.out, "w") as f:
-            json.dump(payload, f, indent=2)
+            json.dump({"horizons": report.horizons, **extra}, f, indent=2)
     return EXIT_OK
 
 

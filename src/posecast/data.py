@@ -11,9 +11,9 @@ The on-disk container ("MGPS") is a flat little-endian binary file:
         uint32  label byte length, followed by that many UTF-8 bytes
         float64 x frames*V*3, frame-major (frame, joint, coordinate)
 
-Round-trips through save/load are bit-exact. ``make_windows`` cuts the
-loaded sequences into (input, target) windows without copying them: a
-``WindowSet`` holds every frame once and each window as a start row.
+Round-trips through save/load are bit-exact. ``make_windows`` checks the
+sequences' joint count against the skeleton and cuts (input, target)
+windows without copying: a ``WindowSet`` holds every frame once.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ class WindowSet:
     labels: tuple                 # one per sequence
     input_frames: int             # T
     output_frames: int            # K
-    skeleton: SkeletonGraph | None = None
 
     def __len__(self):
         return len(self.starts)
@@ -213,13 +212,16 @@ def load_sequences(path):
 
 
 def make_windows(sequences, t_in, k_out, stride=1, skeleton=None):
-    """All maximal (T-input, K-target) windows at the given stride, over
-    one copy of the sequences' frames."""
+    """All maximal (T-input, K-target) windows at the given stride, over one
+    copy of the sequences' frames; given a skeleton, they must have its joint count."""
     if t_in < 1 or k_out < 1 or stride < 1:
         raise ValueError("t_in, k_out, and stride must all be >= 1")
     joint_counts = {seq.joint_count for seq in sequences}
     if len(joint_counts) > 1:
         raise ValueError(f"sequences disagree on joint count: {sorted(joint_counts)}")
+    if skeleton is not None and joint_counts - {skeleton.joint_count}:
+        raise ValueError(f"joint count {joint_counts.pop()} does not match skeleton "
+                         f"({skeleton.joint_count})")
     ends = np.cumsum([len(seq) for seq in sequences], dtype=np.intp)
     starts = [np.arange(end - len(seq), end - t_in - k_out + 1, stride, dtype=np.intp)
               for seq, end in zip(sequences, ends)]
@@ -229,7 +231,7 @@ def make_windows(sequences, t_in, k_out, stride=1, skeleton=None):
         starts=np.concatenate([np.zeros(0, np.intp), *starts]),
         sequence=np.repeat(np.arange(len(starts)), [len(s) for s in starts]),
         labels=tuple(seq.label for seq in sequences),
-        input_frames=t_in, output_frames=k_out, skeleton=skeleton,
+        input_frames=t_in, output_frames=k_out,
     )
 
 

@@ -137,14 +137,13 @@ def _check_graph_conv():
     for frame_count, span in ((2, 2), (3, 1)):
         graph = build_multigraph(partition, frame_count=frame_count, span=span)
         for c_in, c_out in ((3, 4), (4, 3)):
-            h = ad.parameter(rng.normal(size=(2, graph.node_count, c_in)))
+            h = ad.parameter(rng.normal(size=(2, frame_count, 4, c_in)))
             weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
-            stack = ad.stack_weights(weights)
+            ad.stack_weights(weights)
             for activation in (False, True):
                 err = check_gradients(
                     lambda: ad.tensor_sum(ad.mul(
-                        o := ad.graph_conv(h, weights, stack, graph.band, graph.hop_stack,
-                                           activation),
+                        o := ad.graph_conv(h, weights, graph.band, graph.hop_stack, activation),
                         o)),
                     [h, *weights],
                 )

@@ -17,7 +17,8 @@ two normalized factors, the hop layers stacked row-wise in the layout
 accepts only symmetric input and returns an exactly symmetric matrix), so
 the one hop stack also serves as the stack of the transposed hops.
 
-Node (frame t, joint v) maps to flat index t * V + v.
+Poses keep frames and joints on separate axes, [..., T, V, C]; only the
+dumped operators flatten node (frame t, joint v) to index t * V + v.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class PartitionedMultiGraph:
     @property
     def joint_count(self):
         return self.partition.joint_count
-
-    @property
-    def node_count(self):
-        return self.frame_count * self.joint_count
 
 
 def hop_distances(graph):

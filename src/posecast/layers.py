@@ -3,13 +3,14 @@
 A layer applies H' = sigma(sum_k A_k H W_k) where A_k are the normalized
 hop operators of a PartitionedMultiGraph and each hop gets its own weight
 matrix; ``autodiff.graph_conv`` applies A_k = kron(band, hops[k]) in
-factored form, with the hops stacked as the graph holds them
-(``hop_stack``). A tower is a list of weight stacks, D+1 weights per
-layer, taken in order from the model's parameter table
+factored form to poses [batch, T, V, C], with the hops stacked as the
+graph holds them (``hop_stack``). A tower is a list of weight stacks, D+1
+weights per layer, taken in order from the model's parameter table
 (``model.parameter_shapes``), which fixes their shapes and initial values.
 Each layer moves its D+1 weights into one array once, in the layout
 graph_conv multiplies by (``autodiff.stack_weights``); the weight tensors
-keep their names and shapes and become views of that array.
+keep their names and shapes and become views of that array, which
+graph_conv finds from them.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ class GraphConvLayer:
 
     def __init__(self, weights, activation):
         self.weights = weights
-        self.stack = ad.stack_weights(weights)
+        ad.stack_weights(weights)
         self.activation = activation
 
     def forward(self, h, graph):
-        """h: [batch, V*T, C_in] -> [batch, V*T, C_out]."""
-        return ad.graph_conv(h, self.weights, self.stack, graph.band, graph.hop_stack,
-                             self.activation)
+        """h: [batch, T, V, C_in] -> [batch, T, V, C_out]."""
+        return ad.graph_conv(h, self.weights, graph.band, graph.hop_stack, self.activation)
 
 
 class GraphConvTower:
@@ -47,8 +47,6 @@ class GraphConvTower:
 
     def forward(self, x, graph):
         """x: [batch, T, V, C_in] -> [batch, T, V, C_out]."""
-        b, t, v, c = x.shape
-        h = ad.reshape(x, (b, t * v, c))
         for layer in self.layers:
-            h = layer.forward(h, graph)
-        return ad.reshape(h, (b, t, v, h.shape[-1]))
+            x = layer.forward(x, graph)
+        return x

@@ -320,6 +320,7 @@ def load_checkpoint(path):
         check_max_hop(v, config.max_hop)
     except ValueError as exc:
         raise ValueError(f"checkpoint header (bytes 0–{r.offset - 1}): {exc}") from exc
+    edges_at = r.offset
     n_edges, = r.take("<I", "edge count")
     edges = [r.take("<II", "edge") for _ in range(n_edges)]
     n_params, = r.take("<I", "parameter block count")
@@ -338,7 +339,10 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint holds {n_params} blocks, model expects {expected}")
     r.need(sum(8 + len(name) + 4 * len(shape) + 8 * math.prod(shape) for name, shape in shapes),
            "parameter blocks")
-    model = ForecastModel(SkeletonGraph(joint_count=v, edges=frozenset(edges)), config)
+    try:            # an edge out of range, a self-loop or a disconnected skeleton
+        model = ForecastModel(SkeletonGraph(joint_count=v, edges=frozenset(edges)), config)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: skeleton edges at byte {edges_at}: {exc}") from exc
     blocks = dict(model.params)
     for _ in range(n_params):
         start = r.offset

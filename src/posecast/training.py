@@ -9,6 +9,7 @@ convention for per-horizon columns), averaged over windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,7 +160,9 @@ def train(model, windows, config):
 
 
 def check_horizons(horizons, k):
-    """Reject horizons outside the 1-based range of K predicted frames."""
+    """Reject no horizons, or one outside the 1-based range of K predicted frames."""
+    if not horizons:
+        raise ValueError(f"horizons is empty; list frame offsets in [1, {k}]")
     for h in horizons:
         if not 1 <= h <= k:
             raise ValueError(f"horizon {h} outside prediction range [1, {k}]")
@@ -174,8 +177,8 @@ def evaluate(model, windows, horizons):
     """Per-horizon error at the single target frame, averaged over windows.
 
     Horizons are 1-based frame offsets into the prediction (horizon h is
-    predicted frame h). Predicts PREDICT_CHUNK windows at a time and gathers
-    only the target frames it scores.
+    predicted frame h). ``model.predict``, a ForecastModel's or a baseline's,
+    runs on PREDICT_CHUNK windows at a time; only scored targets are gathered.
     """
     _require_windows(windows, "evaluate")
     t = windows.input_frames
@@ -190,16 +193,12 @@ def evaluate(model, windows, horizons):
     return EvalReport(horizons={h: float(row.mean()) for h, row in zip(horizons, errors)})
 
 
-def zero_velocity_baseline(inputs, k_out):
-    """Repeat each window's last observed frame for all k_out future frames."""
-    return np.repeat(np.asarray(inputs)[:, -1:], k_out, axis=1)
+def zero_velocity_baseline(k_out):
+    """The copy-last predictor: ``predict(x)`` repeats x's last frame k_out times."""
+    return SimpleNamespace(predict=lambda x: np.repeat(np.asarray(x)[:, -1:], k_out, axis=1))
 
 
 def baseline_report(windows, horizons):
     """evaluate's table for the copy-last-frame forecast."""
     _require_windows(windows, "score the baseline")
-    t = windows.input_frames
-    check_horizons(horizons, windows.output_frames)
-    last = windows.gather(slice(None), t - 1)
-    return EvalReport({h: mpjpe_value(last, windows.gather(slice(None), t + h - 1))
-                       for h in horizons})
+    return evaluate(zero_velocity_baseline(windows.output_frames), windows, horizons)

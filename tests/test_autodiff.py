@@ -211,6 +211,12 @@ def test_broadcast_matmul_gradients():
     assert err < 1e-6
 
 
+def stacked(*weights):
+    """The weights, moved into one stack as a graph-conv layer holds them."""
+    ad.stack_weights(weights)
+    return list(weights)
+
+
 ALL_OPS = [
     lambda a: ad.matmul(a, a),
     lambda a: ad.add(a, a),
@@ -224,8 +230,7 @@ ALL_OPS = [
     lambda a: ad.reshape(a, (4,)),
     lambda a: ad.transpose(a, (1, 0)),
     lambda a: ad.tail(a, 1),
-    lambda a: ad.graph_conv(ad.reshape(a, (1, 2, 2)), [a], ad.stack_weights([a]), np.eye(2),
-                            np.ones((1, 1))),
+    lambda a: ad.graph_conv(ad.reshape(a, (2, 1, 2)), stacked(a), np.eye(2), np.ones((1, 1))),
 ]
 
 

@@ -246,8 +246,13 @@ MALFORMED = {
     "train_bad_magic": (lambda f: f["train_with"](None, dataset=f["bad.mgps"]), "bad magic"),
     "eval_missing_dataset": (_eval("model.pckp", "nope.mgps"), "nope.mgps"),
     "predict_joint_mismatch": (_predict("wide.mgps"), "V=4"),
+    "train_joint_mismatch": (lambda f: f["train_with"](None, dataset=f["wide.mgps"]),
+                             "joint count 5 does not match skeleton (4)"),
+    "eval_joint_mismatch": (_eval("model.pckp", "wide.mgps"),
+                            "joint count 5 does not match skeleton (4)"),
     "eval_horizons_not_int": (_eval("model.pckp", "poses.mgps", "a"), "--horizons"),
     "train_horizon_beyond_k": (_train(horizons=[1, 9]), "horizon 9"),
+    "train_empty_horizons": (_train(horizons=[]), "horizons is empty"),
     "train_unknown_skeleton": (_train(skeleton="octopus"), "octopus"),
     "train_unknown_model_key": (_train("model", max_hops=2), "max_hops"),
     "train_refine_string": (_train("model", refine="false"), "refine"),

@@ -222,6 +222,12 @@ class TestWindowBuffer:
         with pytest.raises(ValueError, match="joint count"):
             make_windows(seqs, 4, 3)
 
+    def test_skeleton_joint_count_checked(self):
+        seqs = [synth_kinematic(5, 9, 4)]
+        assert len(make_windows(seqs, 4, 3, skeleton=skeleton_preset("chain_5"))) == 3
+        with pytest.raises(ValueError, match=r"joint count 5 does not match skeleton \(4\)"):
+            make_windows(seqs, 4, 3, skeleton=skeleton_preset("chain_4"))
+
     def test_building_allocates_under_twice_the_frames(self):
         # Ten 22-joint 2,000-frame sequences: 19,660 windows of T=10, K=25,
         # which copied one by one took x34 the frames.

@@ -26,6 +26,18 @@ def single_node_graph():
     return multigraph(SkeletonGraph(joint_count=1, edges=frozenset()), 1, 0, 0)
 
 
+def poses(g, batch, c):
+    """The shape of a batch of poses on graph g: [batch, T, V, c]."""
+    return (batch, g.frame_count, g.joint_count, c)
+
+
+def flat(h):
+    """h [batch, T, V, C] with node (t, v) at row t * V + v, as the dense
+    (VT)^2 operators index it."""
+    b, t, v, c = h.shape
+    return ad.reshape(h, (b, t * v, c))
+
+
 def glorot(rng, c_in, c_out, n):
     """n weights of one layer, drawn as the model draws them."""
     return [ad.parameter(None, rng=rng, shape=(c_in, c_out)) for _ in range(n)]
@@ -39,7 +51,7 @@ def test_identity_layer_reproduces_input():
     rng = np.random.default_rng(0)
     layer = GraphConvLayer(glorot(rng, 3, 3, 1), activation=False)
     layer.weights[0].values[...] = np.eye(3)
-    h = ad.constant(rng.normal(size=(2, 1, 3)))
+    h = ad.constant(rng.normal(size=(2, 1, 1, 3)))
     out = layer.forward(h, single_node_graph())
     assert np.allclose(out.values, h.values, atol=1e-15)
 
@@ -48,31 +60,34 @@ def test_zero_weights_give_zero_output():
     rng = np.random.default_rng(1)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
     layer = GraphConvLayer([ad.parameter(np.zeros((3, 5))) for _ in range(2)], activation=True)
-    h = ad.constant(rng.normal(size=(2, 8, 3)))
+    h = ad.constant(rng.normal(size=poses(g, 2, 3)))
     out = layer.forward(h, g)
-    assert np.array_equal(out.values, np.zeros((2, 8, 5)))
+    assert np.array_equal(out.values, np.zeros(poses(g, 2, 5)))
 
 
 def test_two_node_layer_matches_hand_assembly():
     rng = np.random.default_rng(2)
     g = multigraph(chain(2), frames=1, span=0, max_hop=1)
     layer = GraphConvLayer(glorot(rng, 3, 4, 2), activation=False)
-    h = rng.normal(size=(1, 2, 3))
+    h = rng.normal(size=poses(g, 1, 3))
     out = layer.forward(ad.constant(h), g)
     a = kron_operators(g)
+    h = h.reshape(1, 2, 3)
     expected = (
         a[0] @ h @ layer.weights[0].values
         + a[1] @ h @ layer.weights[1].values
     )
-    assert np.allclose(out.values, expected, atol=1e-12)
+    assert np.allclose(out.values.reshape(expected.shape), expected, atol=1e-12)
 
 
 def test_node_count_mismatch():
+    # Wrong joints, wrong frames, and the right node count flattened.
     rng = np.random.default_rng(3)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
     layer = GraphConvLayer(glorot(rng, 3, 3, 2), activation=True)
-    with pytest.raises(DimensionError):
-        layer.forward(ad.constant(np.zeros((1, 5, 3))), g)
+    for shape in ((1, 2, 5, 3), (1, 3, 4, 3), (1, 8, 3)):
+        with pytest.raises(DimensionError, match=r"T=2 frames of V=4 joints"):
+            layer.forward(ad.constant(np.zeros(shape)), g)
 
 
 class TestTower:
@@ -170,24 +185,25 @@ class TestFactoredGraphConv:
             rng = np.random.default_rng(11)
             g = multigraph(chain(4), frames=3, span=1, max_hop=3)
             layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=activation)
-            h = ad.parameter(rng.normal(size=(2, g.node_count, c_in)))
-            target = rng.normal(size=(2, g.node_count, c_out))
+            h = ad.parameter(rng.normal(size=poses(g, 2, c_in)))
+            target = rng.normal(size=poses(g, 2, c_out))
 
             def grads(out):
                 for p in [h, *layer.weights]:
                     p.zero_grad()
-                ad.tensor_sum(ad.mul(out, ad.constant(target))).backward()
+                ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
                 return [p.grad for p in [h, *layer.weights]]
 
             dense = None
             for a_k, w_k in zip(kron_operators(g), layer.weights):
-                term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
+                term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
                 dense = term if dense is None else ad.add(dense, term)
             if activation:
                 dense = ad.tanh(dense)
             expected, expected_grads = dense.values, grads(dense)
             out = layer.forward(h, g)
-            assert np.abs(out.values - expected).max() <= 1e-12
+            assert out.shape == target.shape
+            assert np.abs(out.values.reshape(expected.shape) - expected).max() <= 1e-12
             for got, want in zip(grads(out), expected_grads, strict=True):
                 assert np.abs(got - want).max() <= 1e-12
 
@@ -199,18 +215,18 @@ class TestFactoredGraphConv:
         g = multigraph(chain(4), frames=3, span=1, max_hop=3)
         assert not g.band.all()
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
-        h = ad.constant(rng.normal(size=(2, g.node_count, c_in)))
-        target = ad.constant(rng.normal(size=(2, g.node_count, c_out)))
+        h = ad.constant(rng.normal(size=poses(g, 2, c_in)))
+        target = rng.normal(size=poses(g, 2, c_out))
 
         def weight_grads(out):
             for w in layer.weights:
                 w.zero_grad()
-            ad.tensor_sum(ad.mul(out, target)).backward()
+            ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
             return [w.grad for w in layer.weights]
 
         dense = None
         for a_k, w_k in zip(kron_operators(g), layer.weights):
-            term = ad.matmul(ad.matmul(ad.constant(a_k), h), w_k)
+            term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
             dense = term if dense is None else ad.add(dense, term)
         expected = weight_grads(ad.tanh(dense))
         for got, want in zip(weight_grads(layer.forward(h, g)), expected, strict=True):
@@ -222,7 +238,7 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(12)
         g = multigraph(chain(6), frames=4, span=2, max_hop=2)
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 3), activation=True)
-        x = rng.normal(size=(3, g.node_count, c_in))
+        x = rng.normal(size=poses(g, 3, c_in))
         runs = []
         for _ in range(2):
             h = ad.parameter(x.copy())
@@ -241,8 +257,8 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(15)
         b, c_in, c_out = 32, 32, 64
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
-        h = ad.constant(rng.normal(size=(b, g.node_count, c_in)))
-        bound = 8 * b * g.node_count * (4 * c_in + c_out + c_in)
+        h = ad.constant(rng.normal(size=poses(g, b, c_in)))
+        bound = 8 * b * g.frame_count * g.joint_count * (4 * c_in + c_out + c_in)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -264,10 +280,10 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(17)
         b, c_in, c_out = 32, 32, 64
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
-        h = ad.Tensor(rng.normal(size=(b, g.node_count, c_in)), requires_grad=h_live)
+        h = ad.Tensor(rng.normal(size=poses(g, b, c_in)), requires_grad=h_live)
         out = layer.forward(h, g)
         grad = rng.normal(size=out.shape)
-        bound = 8 * b * g.node_count * (5 * c_in * h_live + c_out // 2)
+        bound = 8 * b * g.frame_count * g.joint_count * (5 * c_in * h_live + c_out // 2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -283,10 +299,10 @@ class TestFactoredGraphConv:
         g = multigraph(chain(4), frames=2, span=1, max_hop=1)
         with pytest.raises(DimensionError):
             GraphConvLayer(glorot(rng, 4, 3, 2), activation=True).forward(
-                ad.constant(np.zeros((1, 8, 3))), g)
+                ad.constant(np.zeros(poses(g, 1, 3))), g)
         with pytest.raises(DimensionError):
             GraphConvLayer(glorot(rng, 3, 3, 3), activation=True).forward(
-                ad.constant(np.zeros((1, 8, 3))), g)
+                ad.constant(np.zeros(poses(g, 1, 3))), g)
         with pytest.raises(DimensionError, match="share one shape"):
             GraphConvLayer(glorot(rng, 3, 5, 1) + glorot(rng, 1, 5, 1), activation=True)
 
@@ -294,12 +310,13 @@ class TestFactoredGraphConv:
 def test_weights_must_be_slices_of_the_layer_stack():
     rng = np.random.default_rng(16)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    h = ad.constant(rng.normal(size=(1, 8, 3)))
+    h = ad.constant(rng.normal(size=poses(g, 1, 3)))
     for c_out in (5, 2):
-        layer = GraphConvLayer(glorot(rng, 3, c_out, 2), activation=True)
-        layer.weights[1].values = layer.weights[1].values.copy()
-        with pytest.raises(ValueError, match="slices"):
-            layer.forward(h, g)
+        for k in (0, 1):
+            layer = GraphConvLayer(glorot(rng, 3, c_out, 2), activation=True)
+            layer.weights[k].values = layer.weights[k].values.copy()
+            with pytest.raises(ValueError, match="slices"):
+                layer.forward(h, g)
 
 
 def test_model_graphs_hold_no_dense_operator():
@@ -308,4 +325,4 @@ def test_model_graphs_hold_no_dense_operator():
         arrays = [a for a in vars(graph).values() if isinstance(a, np.ndarray)]
         arrays += graph.partition.layers
         assert len(arrays) == 2 + len(graph.partition.layers)
-        assert all(a.size < graph.node_count ** 2 for a in arrays)
+        assert all(a.size < (graph.frame_count * graph.joint_count) ** 2 for a in arrays)

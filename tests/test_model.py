@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -401,6 +403,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"checkpoint header \(bytes 0–\d+\): {field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("last_edge, error", [
+        ((2, 9), "joint index 9 out of range [0, 4)"),
+        ((2, 2), "self-loop or malformed edge {2}"),
+        ((0, 2), "skeleton is disconnected: no path between joints 0 and 3"),
+    ], ids=["out_of_range", "self_loop", "disconnected"])
+    def test_bad_skeleton_edge_names_checkpoint_and_offset(self, tmp_path, last_edge, error):
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), tiny_config()))
+        blob = path.read_bytes()
+        # The edge count, then chain_4's edges in order; replace the last one.
+        edges = struct.pack("<7I", 3, 0, 1, 1, 2, 2, 3)
+        offset = blob.index(edges)
+        path.write_bytes(blob.replace(edges, edges[:-8] + struct.pack("<II", *last_edge)))
+        message = f"checkpoint {path}: skeleton edges at byte {offset}: {error}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+
     def test_corrupt_qk_width_rejected_before_building(self, tmp_path):
         # Byte 75 is the top byte of the second qk_schedule width: 0x7F
         # asks for q/k towers of width 2,130,706,436. Load in a child whose
@@ -483,12 +502,13 @@ class TestWeightStacks:
         m = self.model
         layers = [layer for tower in (m.v_tower, m.q_tower, m.k_tower, m.refine_tower)
                   for layer in tower.layers]
-        assert {layer.stack.shape[0] == len(layer.weights) for layer in layers} == {True, False}
+        stacks = [layer.weights[0].values.base for layer in layers]
+        assert {s.shape[0] == len(layer.weights) for s, layer in zip(stacks, layers)} == {True, False}
         names = {id(p): name for name, p in m.params.items()}
         stacked = []
-        for layer in layers:
+        for stack, layer in zip(stacks, layers):
             for w in layer.weights:
-                assert np.shares_memory(w.values, layer.stack)
+                assert w.values.base is stack
                 stacked.append(names[id(w)])
         assert sorted(stacked) == sorted(name for name in m.params if name != "tcn")
 

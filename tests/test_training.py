@@ -197,7 +197,7 @@ class TestEvaluate:
 
         seq = PoseSequence(frames=frames)
         windows = make_windows([seq], t_in=4, k_out=3)
-        preds = zero_velocity_baseline(windows.inputs, 3)
+        preds = zero_velocity_baseline(3).predict(windows.inputs)
         for h in (1, 2, 3):
             assert mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1]) == 0.0
 
@@ -232,7 +232,7 @@ class TestEvaluate:
         preds = model.predict(windows.inputs)
         report = evaluate(model, windows, [3, 1, 2])
         baseline = baseline_report(windows, [2, 3])
-        last = zero_velocity_baseline(windows.inputs, 3)
+        last = zero_velocity_baseline(3).predict(windows.inputs)
         for h in (1, 2, 3):
             assert report.horizons[h] == mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])
         for h in (2, 3):
@@ -253,7 +253,7 @@ class TestEvaluate:
 class TestZeroVelocityBaseline:
     def test_constant_input_zero_error(self):
         x = np.ones((3, 4, 5, 3))
-        preds = zero_velocity_baseline(x, 2)
+        preds = zero_velocity_baseline(2).predict(x)
         assert np.array_equal(preds, np.ones((3, 2, 5, 3)))
 
     def test_linear_motion_error_grows_linearly(self):
@@ -262,7 +262,7 @@ class TestZeroVelocityBaseline:
         from posecast.data import PoseSequence
 
         windows = make_windows([PoseSequence(frames=frames)], t_in=4, k_out=3)
-        preds = zero_velocity_baseline(windows.inputs, 3)
+        preds = zero_velocity_baseline(3).predict(windows.inputs)
         for h in (1, 2, 3):
             err = mpjpe_value(preds[:, h - 1], windows.targets[:, h - 1])
             assert err == pytest.approx(3.0 * h, abs=1e-9)
