@@ -1,11 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap float64 numpy arrays. Every differentiable operation records
-its inputs and a backward closure; ``backward()`` on a scalar root walks
-the recorded graph once in reverse topological order and accumulates
-gradients into tensors created with ``requires_grad=True``. Constants
-never receive gradients, and no closure computes a gradient for an input
-that cannot pass one on.
+through one rule, ``_record``: its result holds its inputs and a backward
+closure when recording is on and some input is live (a parameter or a
+graph node), and is a plain tensor otherwise. ``backward()`` on a scalar
+root walks the recorded graph once in reverse topological order and
+accumulates gradients into tensors created with ``requires_grad=True``.
+Constants never receive gradients, and no closure computes a gradient
+for an input that cannot pass one on.
 
 The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
@@ -231,8 +233,34 @@ def _live(t):
     return t.requires_grad or t._backward is not None
 
 
-def _needs_graph(*tensors):
-    return _grad_enabled and any(_live(t) for t in tensors)
+def _record(out_values, inputs, backward):
+    """The op's result: a graph node over ``inputs`` whose closure is
+    ``backward``, or a plain tensor under ``no_grad`` or when no input is
+    live. Every op records through here."""
+    if _grad_enabled and any(_live(t) for t in inputs):
+        return Tensor(out_values, _inputs=inputs, _backward=backward)
+    return Tensor(out_values)
+
+
+def _unary(a, out_values, grad_of, fresh=True):
+    """Record a one-input op whose input gradient is ``grad_of(grad)``;
+    ``fresh`` says that array is new, as ``_accumulate`` takes it."""
+    return _record(out_values, (a,), lambda grad: _accumulate(a, grad_of(grad), fresh))
+
+
+def _binary(a, b, out_values, grad_a, grad_b):
+    """Record a two-input op with numpy broadcasting. Backward forms only a
+    live operand's gradient and sums it back to that operand's shape;
+    ``grad_a`` and ``grad_b`` may hand back ``grad`` itself, which is then
+    copied, and any other array is kept."""
+
+    def backward(grad):
+        for t, grad_of in ((a, grad_a), (b, grad_b)):
+            if _live(t):
+                g = grad_of(grad)
+                _accumulate(t, _unbroadcast(g, t.values.shape), g is not grad)
+
+    return _record(out_values, (a, b), backward)
 
 
 def matmul(a, b):
@@ -245,44 +273,19 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul inner dims disagree: {a.shape} x {b.shape}"
         )
-    out_values = a.values @ b.values
-    if not _needs_graph(a, b):
-        return Tensor(out_values)
-    a_live, b_live = _live(a), _live(b)
-
-    def backward(grad):
-        if a_live:
-            g = grad @ np.swapaxes(b.values, -1, -2)
-            _accumulate(a, _unbroadcast(g, a.values.shape), True)
-        if b_live:
-            g = np.swapaxes(a.values, -1, -2) @ grad
-            _accumulate(b, _unbroadcast(g, b.values.shape), True)
-
-    return Tensor(out_values, _inputs=(a, b), _backward=backward)
+    return _binary(a, b, a.values @ b.values,
+                   lambda grad: grad @ np.swapaxes(b.values, -1, -2),
+                   lambda grad: np.swapaxes(a.values, -1, -2) @ grad)
 
 
-def _elementwise(a, b, forward, back_a, back_b):
+def _elementwise(a, b, forward, grad_a, grad_b):
     try:
         out_values = forward(a.values, b.values)
     except ValueError as exc:
         raise DimensionError(
             f"incompatible elementwise shapes {a.shape} and {b.shape}"
         ) from exc
-    if not _needs_graph(a, b):
-        return Tensor(out_values)
-    a_live, b_live = _live(a), _live(b)
-
-    def backward(grad):
-        # add and sub hand ``grad`` itself to an operand; only a new array
-        # may be kept without a copy.
-        if a_live:
-            g = back_a(grad)
-            _accumulate(a, _unbroadcast(g, a.values.shape), g is not grad)
-        if b_live:
-            g = back_b(grad)
-            _accumulate(b, _unbroadcast(g, b.values.shape), g is not grad)
-
-    return Tensor(out_values, _inputs=(a, b), _backward=backward)
+    return _binary(a, b, out_values, grad_a, grad_b)
 
 
 def add(a, b):
@@ -301,13 +304,7 @@ def mul(a, b):
 
 def tanh(a):
     out_values = np.tanh(a.values)
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    def backward(grad):
-        _accumulate(a, _tanh_grad(out_values, grad), True)
-
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, out_values, lambda grad: _tanh_grad(out_values, grad))
 
 
 _TANH_BLOCK = 1 << 17      # elements of the derivative formed at a time: 1 MiB
@@ -337,15 +334,12 @@ def _tanh_grad(y, grad):
 def sqrt(a):
     out_values = np.sqrt(a.values)
 
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    def backward(grad):
+    def grad_of(grad):
         # Subgradient 0 at exactly zero (norm of a zero vector).
         safe = np.where(out_values > 0.0, out_values, 1.0)
-        _accumulate(a, np.where(out_values > 0.0, grad * 0.5 / safe, 0.0), True)
+        return np.where(out_values > 0.0, grad * 0.5 / safe, 0.0)
 
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, out_values, grad_of)
 
 
 def masked_softmax(scores, mask, axis):
@@ -368,78 +362,47 @@ def masked_softmax(scores, mask, axis):
     expd = np.where(mask, np.exp(shifted), 0.0)
     out_values = expd / expd.sum(axis=axis, keepdims=True)
 
-    if not _needs_graph(scores):
-        return Tensor(out_values)
-
-    def backward(grad):
+    def grad_of(grad):
         inner = (grad * out_values).sum(axis=axis, keepdims=True)
-        _accumulate(scores, out_values * (grad - inner), True)
+        return out_values * (grad - inner)
 
-    return Tensor(out_values, _inputs=(scores,), _backward=backward)
+    return _unary(scores, out_values, grad_of)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    out_values = a.values.sum(axis=axis, keepdims=keepdims)
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    def backward(grad):
+    def grad_of(grad):
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
-        _accumulate(a, np.broadcast_to(grad, a.values.shape), False)
+        return np.broadcast_to(grad, a.values.shape)
 
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, a.values.sum(axis=axis, keepdims=keepdims), grad_of, fresh=False)
 
 
 def cumsum(a, axis):
-    out_values = np.cumsum(a.values, axis=axis)
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    def backward(grad):
-        # Adjoint of prefix sum is a reversed prefix sum.
-        flipped = np.flip(grad, axis=axis)
-        _accumulate(a, np.flip(np.cumsum(flipped, axis=axis), axis=axis), True)
-
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    # Adjoint of prefix sum is a reversed prefix sum.
+    return _unary(a, np.cumsum(a.values, axis=axis),
+                  lambda grad: np.flip(np.cumsum(np.flip(grad, axis), axis), axis))
 
 
 def reshape(a, shape):
-    out_values = a.values.reshape(shape)
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    def backward(grad):
-        _accumulate(a, grad.reshape(a.values.shape), False)
-
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, a.values.reshape(shape), lambda grad: grad.reshape(a.values.shape),
+                  fresh=False)
 
 
 def transpose(a, axes):
-    out_values = np.transpose(a.values, axes)
-    if not _needs_graph(a):
-        return Tensor(out_values)
-
-    inverse = np.argsort(axes)
-
-    def backward(grad):
-        _accumulate(a, np.transpose(grad, inverse), False)
-
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, np.transpose(a.values, axes),
+                  lambda grad: np.transpose(grad, np.argsort(axes)), fresh=False)
 
 
 def tail(a, start):
     """Entries ``start`` onward along axis 1: ``a[:, start:]``."""
-    out_values = a.values[:, start:]
-    if not _needs_graph(a):
-        return Tensor(out_values)
 
-    def backward(grad):
+    def grad_of(grad):
         g = np.zeros_like(a.values)
         g[:, start:] = grad
-        _accumulate(a, g, True)
+        return g
 
-    return Tensor(out_values, _inputs=(a,), _backward=backward)
+    return _unary(a, a.values[:, start:], grad_of)
 
 
 def _apply_band(band, x):
@@ -535,12 +498,9 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
         out_values = _apply_band(band, s).reshape(*lead, t, v, c_out)
     if activation:
         np.tanh(out_values, out=out_values)
-    if not _needs_graph(h, *weights):
-        return Tensor(out_values)
-    h_live = _live(h)
-    w_live = any(_live(w_k) for w_k in weights)
 
     def backward(grad):
+        h_live, w_live = _live(h), any(_live(w_k) for w_k in weights)
         if activation:
             grad = _tanh_grad(out_values, grad)
         if hops_first:
@@ -568,7 +528,7 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
                 if _live(w_k):
                     _accumulate(w_k, dw_k, False)
 
-    return Tensor(out_values, _inputs=(h, *weights), _backward=backward)
+    return _record(out_values, (h, *weights), backward)
 
 
 class AdamState:

@@ -21,6 +21,7 @@ import yaml
 from . import data as data_io
 from . import graphs
 from . import gradcheck as gc
+from .autodiff import DimensionError
 from .model import ModelConfig, build_model, config_value, load_checkpoint, save_checkpoint
 from .training import (
     EvalReport,
@@ -143,18 +144,20 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)
-    sequences = data_io.load_sequences(args.dataset)
-    cfg = model.config
-    outputs = []
-    for seq in sequences:
-        if len(seq) < cfg.input_frames:
+    t = model.config.input_frames
+    outputs, skipped = [], []
+    for seq in data_io.load_sequences(args.dataset):
+        if len(seq) < t:
+            skipped.append(repr(seq.label))
             continue
-        x = seq.frames[-cfg.input_frames:][None]
-        pred = model.predict(x)[0]
-        outputs.append(data_io.PoseSequence(frames=pred, rate=seq.rate,
-                                            label=seq.label))
+        try:
+            pred = model.predict(seq.frames[-t:][None])[0]
+        except DimensionError as exc:
+            raise DimensionError(f"dataset {args.dataset}, record {seq.label!r}: {exc}") from exc
+        outputs.append(data_io.PoseSequence(frames=pred, rate=seq.rate, label=seq.label))
     data_io.save_sequences(args.out, outputs)
-    print(f"wrote {len(outputs)} predicted sequences to {args.out}")
+    note = f"; skipped {len(skipped)} shorter than T={t}: {', '.join(skipped)}" if skipped else ""
+    print(f"wrote {len(outputs)} predicted sequences to {args.out}{note}")
     return EXIT_OK
 
 

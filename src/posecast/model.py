@@ -141,9 +141,13 @@ class ForecastModel:
         self.config = config
         t, k = config.input_frames, config.output_frames
         check_max_hop(skeleton.joint_count, config.max_hop)
-        partition = build_hop_partition(skeleton, config.max_hop)
-        self.input_graph = build_multigraph(partition, t, config.span)
-        self.output_graph = build_multigraph(partition, k, config.span)
+        try:
+            partition = build_hop_partition(skeleton, config.max_hop)
+            self.input_graph = build_multigraph(partition, t, config.span)
+            self.output_graph = build_multigraph(partition, k, config.span)
+        except MemoryError as exc:
+            raise ValueError(f"cannot allocate the graphs of V={skeleton.joint_count}, T={t}, "
+                             f"K={k}, max_hop={config.max_hop}: {exc}") from exc
 
         # Weights take Glorot draws in table order; tcn rows start as the
         # temporal mean, so each output frame is initially a row-stochastic
@@ -342,7 +346,10 @@ def load_checkpoint(path):
     try:            # an edge out of range, a self-loop or a disconnected skeleton
         model = ForecastModel(SkeletonGraph(joint_count=v, edges=frozenset(edges)), config)
     except ValueError as exc:
-        raise ValueError(f"checkpoint {path}: skeleton edges at byte {edges_at}: {exc}") from exc
+        # Graphs too large to allocate are the header's: V, T, K and max_hop.
+        where = (f"header (bytes 0–{edges_at - 1})" if isinstance(exc.__cause__, MemoryError)
+                 else f"{path}: skeleton edges at byte {edges_at}")
+        raise ValueError(f"checkpoint {where}: {exc}") from exc
     blocks = dict(model.params)
     for _ in range(n_params):
         start = r.offset

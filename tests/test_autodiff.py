@@ -234,6 +234,15 @@ ALL_OPS = [
 ]
 
 
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_ops_record_only_over_a_live_input(op):
+    out = op(ad.constant(np.arange(1.0, 5.0).reshape(2, 2)))
+    assert out._backward is None and out._inputs == ()
+    a = ad.parameter(np.arange(1.0, 5.0).reshape(2, 2))
+    out = op(a)
+    assert out._backward is not None and any(t is a for t in out._inputs)
+
+
 class TestNoGrad:
     @pytest.mark.parametrize("op", ALL_OPS)
     def test_ops_record_no_graph(self, op):

@@ -152,6 +152,18 @@ def test_predict_command(run_config, tmp_path, dataset):
     assert preds[0].frames.shape == (3, 4, 3)
 
 
+def test_predict_names_skipped_records(bad_inputs, tmp_path, capsys):
+    # The checkpoint forecasts from T=4 frames; "jump" has 3.
+    dataset = tmp_path / "short.mgps"
+    save_sequences(dataset, [synth_kinematic(4, frames=30, period=6, label="walk"),
+                             synth_kinematic(4, frames=3, period=6, label="jump")])
+    out = tmp_path / "pred.mgps"
+    assert cli.main(["predict", bad_inputs["model.pckp"], str(dataset), str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 1 predicted sequences to {out}; skipped 1 shorter than T=4: 'jump'\n")
+    assert [seq.label for seq in load_sequences(out)] == ["walk"]
+
+
 def test_sweep_command(run_config, tmp_path, capsys):
     path, config = run_config
     config["train"]["epochs"] = 1
@@ -246,6 +258,8 @@ MALFORMED = {
     "train_bad_magic": (lambda f: f["train_with"](None, dataset=f["bad.mgps"]), "bad magic"),
     "eval_missing_dataset": (_eval("model.pckp", "nope.mgps"), "nope.mgps"),
     "predict_joint_mismatch": (_predict("wide.mgps"), "V=4"),
+    "predict_joint_mismatch_names_dataset": (_predict("wide.mgps"),
+                                             "wide.mgps, record 'synthetic'"),
     "train_joint_mismatch": (lambda f: f["train_with"](None, dataset=f["wide.mgps"]),
                              "joint count 5 does not match skeleton (4)"),
     "eval_joint_mismatch": (_eval("model.pckp", "wide.mgps"),

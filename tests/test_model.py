@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,6 +446,50 @@ class TestCheckpoint:
                              text=True, timeout=60, env=child_env())
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("ValueError truncated checkpoint at byte"), run.stdout
+
+    @staticmethod
+    def eval_capped(path):
+        """``posecast eval`` on ``path`` in a child whose address space is
+        capped at 2 GiB, so an allocation fails there rather than exhausting
+        the machine."""
+        child = textwrap.dedent(f"""
+            import resource, sys
+            from posecast.cli import main
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            sys.exit(main(["eval", {str(path)!r}, "unread.mgps"]))
+        """)
+        return subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, timeout=60, env=child_env())
+
+    def test_unallocatable_joint_count_names_header(self, tmp_path):
+        # 99,999 chain edges let V=100,000 pass the edge count check; the
+        # [V, V] hop distances would take 74.5 GiB.
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, build_model(skeleton_preset("chain_4"), tiny_config()))
+        blob = bytearray(path.read_bytes())
+        v = 100_000
+        blob[5:9] = struct.pack("<I", v)
+        chain = np.stack([np.arange(v - 1), np.arange(1, v)], axis=1).astype("<u4")
+        path.write_bytes(bytes(blob).replace(struct.pack("<7I", 3, 0, 1, 1, 2, 2, 3),
+                                             struct.pack("<I", v - 1) + chain.tobytes()))
+        run = self.eval_capped(path)
+        assert run.returncode == 2, run.stderr
+        assert "configuration error: checkpoint header (bytes 0–" in run.stderr
+        assert "V=100000, T=3, K=2, max_hop=1" in run.stderr
+
+    def test_unallocatable_frame_count_names_header(self, tmp_path):
+        # T=12,000 costs 96 KB of alignment weights, but each [T, T]
+        # temporary of the frame band takes 1.1 GiB.
+        config = tiny_config(input_frames=12_000, output_frames=1, strategy="none",
+                             refine=False)
+        params = {name: ad.constant(np.zeros(shape)) for name, shape in parameter_shapes(config)}
+        path = tmp_path / "model.pckp"
+        save_checkpoint(path, SimpleNamespace(config=config, skeleton=skeleton_preset("chain_4"),
+                                              joint_count=4, params=params))
+        run = self.eval_capped(path)
+        assert run.returncode == 2, run.stderr
+        assert "configuration error: checkpoint header (bytes 0–" in run.stderr
+        assert "V=4, T=12000, K=1, max_hop=1" in run.stderr
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pckp"
