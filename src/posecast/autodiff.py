@@ -11,7 +11,8 @@ for an input that cannot pass one on.
 
 The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
-``with no_grad():`` operations record nothing at all.
+``with no_grad():`` operations record nothing at all; the block holds
+for the thread that entered it, and every other thread keeps recording.
 
 Broadcasting is supported over leading batch dimensions only.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,10 +55,12 @@ __all__ = [
 
 
 def _tune_allocator():
-    """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse.
+    """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse,
+    by every thread.
 
-    Sets M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to
-    256 MiB; returns whether both took. Does nothing without mallopt.
+    Sets M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to
+    256 MiB and M_ARENA_MAX (-8) to 1; returns whether all took. Does
+    nothing without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -65,8 +69,10 @@ def _tune_allocator():
     except (OSError, AttributeError, TypeError):
         return False
     # By default every large temporary is a fresh mmap, zeroed and faulted
-    # in page by page on each step, then unmapped on free.
-    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20)])
+    # in page by page on each step, then unmapped on free. And each thread
+    # that model.map_chunks starts would take a fresh arena, leaving the
+    # memory that training freed in the main arena unused beside it.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20), mallopt(-8, 1)])
 
 
 _allocator_tuned = _tune_allocator()
@@ -96,23 +102,28 @@ def _released(grad):
     )
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record, per thread; every thread starts recording."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Run operations without recording a graph.
+    """Run operations in this thread without recording a graph.
 
     Results are plain tensors: no inputs, no backward closure. Blocks
     nest, and the previous state comes back on exit, also when the block
-    raises.
+    raises. Other threads record as before.
     """
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 class Tensor:
@@ -237,7 +248,7 @@ def _record(out_values, inputs, backward):
     """The op's result: a graph node over ``inputs`` whose closure is
     ``backward``, or a plain tensor under ``no_grad`` or when no input is
     live. Every op records through here."""
-    if _grad_enabled and any(_live(t) for t in inputs):
+    if _grad_mode.enabled and any(_live(t) for t in inputs):
         return Tensor(out_values, _inputs=inputs, _backward=backward)
     return Tensor(out_values)
 

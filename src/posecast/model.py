@@ -11,9 +11,13 @@ output-side graph.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import itertools
 import math
+import os
 import struct
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -36,9 +40,10 @@ __all__ = [
     "parameter_shapes",
     "HEADER_FIELDS",
     "config_value",
+    "map_chunks",
 ]
 
-PREDICT_CHUNK = 32                    # windows per forward pass in predict()
+PREDICT_CHUNK = 16                    # windows per forward pass in predict() and evaluate()
 
 VALUE_SCHEDULE = (3, 64, 32, 64, 3)
 QK_SCHEDULE = (3, 64, 32, 16, 16, 3)
@@ -128,6 +133,78 @@ class ModelConfig:
 
 HEADER_FIELDS = tuple((f.name, f.metadata["code"]) for f in fields(ModelConfig))
 
+_pool = None                          # map_chunks' threads, started on first parallel use
+_pool_lock = threading.Lock()         # held by the one map_chunks run that uses the pool
+
+
+def _drop_pool():
+    """In a forked child: the parent's pool threads do not exist there,
+    and a parent thread may have held the lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None where numpy does not bundle it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    for name in sorted(n for n in names if n.startswith("libscipy_openblas")):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+def map_chunks(fn, starts):
+    """``[fn(s) for s in starts]``, the calls spread over one thread per
+    usable core.
+
+    While the threads run, OpenBLAS runs on one thread, and its previous
+    count comes back afterwards: an idle OpenBLAS worker spins on a core,
+    so a Python thread that shares the core with it gets almost no time.
+    The plain loop runs instead with fewer than two starts, one usable
+    core, no OpenBLAS thread setter, or while another call holds the pool.
+    Each call must write only what no other call reads or writes.
+    """
+    starts = list(starts)
+    if (len(starts) < 2 or _usable_cores() < 2 or _openblas_threads() is None
+            or not _pool_lock.acquire(blocking=False)):
+        return [fn(s) for s in starts]
+    import concurrent.futures
+
+    global _pool
+    try:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(_usable_cores(), "posecast-chunk")
+        get, put = _openblas_threads()
+        previous = get()
+        put(1)
+        try:
+            futures = [_pool.submit(fn, s) for s in starts]
+            concurrent.futures.wait(futures)       # nothing runs on once this returns
+            return [f.result() for f in futures]
+        finally:
+            put(previous)
+    finally:
+        _pool_lock.release()
+
 
 @dataclass
 class ForecastOutput:
@@ -216,15 +293,19 @@ class ForecastModel:
     def predict(self, x):
         """Forward pass without recording a graph; returns plain arrays.
 
-        Runs PREDICT_CHUNK windows at a time, which keeps every temporary
-        below the 32 MiB up to which ``autodiff`` has the allocator reuse
-        freed memory.
+        Runs PREDICT_CHUNK windows at a time, the chunks through
+        ``map_chunks``. The fixed chunk keeps every temporary below the
+        32 MiB up to which ``autodiff`` has the allocator reuse freed
+        memory, and makes the result independent of the core count.
         """
         x = np.asarray(x, dtype=np.float64)
+
+        def chunk(i):
+            with ad.no_grad():
+                return self.forward(x[i: i + PREDICT_CHUNK]).predictions.values
+
         starts = range(0, len(x), PREDICT_CHUNK) or [0]    # an empty batch keeps its shape
-        with ad.no_grad():
-            return np.concatenate([self.forward(x[i: i + PREDICT_CHUNK]).predictions.values
-                                   for i in starts])
+        return np.concatenate(map_chunks(chunk, starts))
 
 
 def build_model(skeleton, config):

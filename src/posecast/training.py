@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
-from .model import PREDICT_CHUNK, config_value
+from .model import PREDICT_CHUNK, config_value, map_chunks
 
 __all__ = [
     "TrainConfig",
@@ -178,18 +178,23 @@ def evaluate(model, windows, horizons):
 
     Horizons are 1-based frame offsets into the prediction (horizon h is
     predicted frame h). ``model.predict``, a ForecastModel's or a baseline's,
-    runs on PREDICT_CHUNK windows at a time; only scored targets are gathered.
+    runs on PREDICT_CHUNK windows at a time, the chunks through
+    ``map_chunks``, so on several threads at once; only scored targets
+    are gathered.
     """
     _require_windows(windows, "evaluate")
     t = windows.input_frames
     check_horizons(horizons, windows.output_frames)
     scored = np.asarray(horizons, dtype=np.intp) - 1
     errors = np.empty((len(scored), len(windows), windows.frames.shape[1]))
-    for start in range(0, len(windows), PREDICT_CHUNK):
+
+    def score(start):                 # each chunk writes its own columns of errors
         idx = slice(start, start + PREDICT_CHUNK)
         preds = model.predict(windows.gather(idx, np.arange(t)))
         diff = preds[:, scored] - windows.gather(idx, t + scored)
         errors[:, idx] = np.linalg.norm(diff, axis=-1).transpose(1, 0, 2)
+
+    map_chunks(score, range(0, len(windows), PREDICT_CHUNK))
     return EvalReport(horizons={h: float(row.mean()) for h, row in zip(horizons, errors)})
 
 

@@ -1,8 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 from posecast import autodiff as ad
+from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.gradcheck import check_gradients
+from posecast.model import PREDICT_CHUNK, ModelConfig, build_model
+from posecast.training import evaluate
 
 
 def test_matmul_identity():
@@ -266,6 +271,35 @@ class TestNoGrad:
             with ad.no_grad():
                 ad.add(w, ad.constant(np.ones(4)))
         assert ad.mul(w, w)._backward is not None
+
+    def test_block_holds_only_for_its_thread(self):
+        w = ad.parameter([1.0, 2.0])
+        inside, done, seen = threading.Event(), threading.Event(), []
+
+        def sit_in_no_grad():
+            with ad.no_grad():
+                inside.set()
+                done.wait(timeout=30)
+                seen.append(ad.mul(w, w)._backward)
+
+        other = threading.Thread(target=sit_in_no_grad)
+        other.start()
+        try:
+            assert inside.wait(timeout=30)
+            assert ad.mul(w, w)._backward is not None
+        finally:
+            done.set()
+            other.join(timeout=30)
+        assert not other.is_alive() and seen == [None]
+
+    def test_multi_chunk_evaluate_leaves_recording_on(self):
+        model = build_model(skeleton_preset("chain_4"), ModelConfig(
+            input_frames=3, output_frames=2, span=1, max_hop=1,
+            value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
+        windows = make_windows([synth_kinematic(4, 3 * PREDICT_CHUNK + 4, 8)], 3, 2)
+        assert len(windows) > 2 * PREDICT_CHUNK
+        evaluate(model, windows, [1, 2])
+        assert model.forward(windows.inputs[:2]).predictions._backward is not None
 
 
 class TestGraphRelease:

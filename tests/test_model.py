@@ -5,16 +5,20 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from posecast import autodiff as ad
+from posecast import model as pm
 from posecast.autodiff import DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import (
     HEADER_FIELDS,
+    PREDICT_CHUNK,
     ModelConfig,
     build_model,
     config_value,
@@ -607,10 +611,11 @@ class TestGradientFlow:
         out = self.model.forward(self.x).predictions.values
         assert self.model.predict(self.x).tobytes() == out.tobytes()
 
-    def test_predict_runs_32_windows_at_a_time(self):
-        x = np.random.default_rng(12).normal(size=(2 * 32 + 5, 3, 4, 3))
-        chunks = [self.model.forward(x[i: i + 32]).predictions.values for i in (0, 32, 64)]
-        assert [len(c) for c in chunks] == [32, 32, 5]
+    def test_predict_runs_PREDICT_CHUNK_windows_at_a_time(self):
+        n = PREDICT_CHUNK
+        x = np.random.default_rng(12).normal(size=(2 * n + 5, 3, 4, 3))
+        chunks = [self.model.forward(x[i: i + n]).predictions.values for i in (0, n, 2 * n)]
+        assert [len(c) for c in chunks] == [n, n, 5]
         assert self.model.predict(x).tobytes() == np.concatenate(chunks).tobytes()
 
     def test_input_liveness_leaves_parameter_grads_bit_identical(self, monkeypatch):
@@ -642,3 +647,154 @@ class TestGradientFlow:
             assert node.grad is None and node._inputs == ()
         for p in self.model.parameters():
             assert p.grad is not None and p.grad.shape == p.shape
+
+
+BENCHMARK_MODELS = {  # the benchmark's two skeletons, T = K = 10
+    "chain_8": dict(span=1, max_hop=1, strategy="pseudo_autoregressive"),
+    "h36m22": dict(span=2, max_hop=3, strategy="anchor"),
+}
+
+
+def benchmark_model(skeleton):
+    return build_model(skeleton_preset(skeleton), ModelConfig(
+        input_frames=10, output_frames=10, refine=True, seed=0, **BENCHMARK_MODELS[skeleton]))
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """numpy's OpenBLAS (get, set) pair, with map_chunks told there are
+    two usable cores; skips where the setter cannot be found."""
+    threads = pm._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+    monkeypatch.setattr(pm, "_usable_cores", lambda: 2)
+    get, put = threads
+    initial = get()
+    put(2)                            # a count the pool must change and restore
+    try:
+        yield threads
+    finally:
+        put(initial)
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("skeleton", sorted(BENCHMARK_MODELS))
+    def test_parallel_predict_is_bit_identical_to_serial(self, skeleton, openblas, monkeypatch):
+        model = benchmark_model(skeleton)
+        x = np.random.default_rng(13).normal(size=(69, 10, model.joint_count, 3))
+        forward, ran_on = model.forward, []
+
+        def spy(chunk):
+            out = forward(chunk)
+            assert out.predictions._backward is None        # each chunk under no_grad
+            ran_on.append((threading.current_thread(), openblas[0]()))
+            return out
+
+        model.forward = spy
+        parallel = {b: model.predict(x[:b]).tobytes() for b in (1, 15, 16, 17, 69)}
+        # Every chunk of a multi-chunk batch ran on a pool thread with OpenBLAS at 1.
+        assert len(ran_on) == 1 + 1 + 1 + 2 + 5
+        assert ran_on[0][0] is threading.main_thread()
+        assert all(t is not threading.main_thread() and n == 1 for t, n in ran_on[3:])
+        monkeypatch.setattr(pm, "_usable_cores", lambda: 1)
+        for b, out in parallel.items():
+            assert model.predict(x[:b]).tobytes() == out, b
+
+    def test_blas_thread_count_restored(self, openblas):
+        get, _ = openblas
+        model = benchmark_model("chain_8")
+        before = get()
+        model.predict(np.zeros((3 * PREDICT_CHUNK, 10, 8, 3)))
+        assert get() == before
+        with pytest.raises(DimensionError, match="does not match"):
+            model.predict(np.zeros((3 * PREDICT_CHUNK, 10, 7, 3)))
+        assert get() == before
+
+    def test_a_raising_chunk_waits_for_the_others(self, openblas):
+        finished = []
+
+        def chunk(start):
+            if start == 0:
+                raise DimensionError("chunk 0")
+            time.sleep(0.2)
+            finished.append(start)
+
+        with pytest.raises(DimensionError, match="chunk 0"):
+            pm.map_chunks(chunk, [0, 1])
+        assert finished == [1]
+        assert openblas[0]() == 2
+
+    def test_concurrent_callers_agree_and_restore_blas(self, openblas):
+        # More callers than cores, switching threads every microsecond:
+        # the callers that find the pool busy run their chunks serially.
+        get, _ = openblas
+        model = benchmark_model("chain_8")
+        x = np.random.default_rng(14).normal(size=(2 * PREDICT_CHUNK + 3, 10, 8, 3))
+        expected = model.predict(x).tobytes()
+        before, results = get(), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(model.predict(x).tobytes()))
+                       for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected] * 4
+        assert get() == before
+
+    def test_single_chunk_starts_no_thread(self):
+        child = textwrap.dedent("""
+            import sys, threading
+            import numpy as np
+            import posecast.cli
+            from posecast import model as pm
+            from posecast.data import make_windows, skeleton_preset, synth_kinematic
+            from posecast.training import evaluate
+
+            def lookup():
+                raise AssertionError("looked up the OpenBLAS thread setter")
+
+            assert "concurrent.futures" not in sys.modules
+            assert threading.active_count() == 1
+            pm._openblas_threads = lookup
+            model = pm.build_model(skeleton_preset("chain_4"), pm.ModelConfig(
+                input_frames=3, output_frames=2, span=1, max_hop=1,
+                value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
+            for b in (0, 1, pm.PREDICT_CHUNK):
+                model.predict(np.zeros((b, 3, 4, 3)))
+            evaluate(model, make_windows([synth_kinematic(4, 20, 8)], 3, 2), [1, 2])
+            assert "concurrent.futures" not in sys.modules
+            assert threading.active_count() == 1
+        """)
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=60, env=child_env())
+        assert run.returncode == 0, run.stderr
+
+    def test_forward_bytes_do_not_depend_on_blas_threads(self):
+        # The pool runs OpenBLAS at one thread and the serial loop at its
+        # default count; both must give the same bytes.
+        child = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from posecast import model as pm
+            from posecast.data import skeleton_preset
+
+            pm._usable_cores = lambda: 1            # the serial loop
+            model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
+                input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor"))
+            x = np.random.default_rng(15).normal(size=(40, 10, 22, 3))
+            print(hashlib.sha256(model.predict(x).tobytes()).hexdigest())
+        """)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                 text=True, timeout=120, env=env)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]

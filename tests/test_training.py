@@ -1,4 +1,7 @@
 import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from posecast.training import (
     train,
     zero_velocity_baseline,
 )
+
+from conftest import child_env
 
 
 def tiny_model(**overrides):
@@ -188,6 +193,53 @@ def test_steady_state_steps_fault_in_no_fresh_pages():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     train(model, windows, config)                   # three steps
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+@pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
+def test_steady_state_evaluates_fault_in_no_fresh_pages():
+    # The benchmark's h36m22 model; several chunks, so the chunk pool runs
+    # where it can, and its threads' heaps must be reused as well.
+    seqs = [synth_kinematic(22, 8 + 19, period=15, seed=s) for s in range(8)]
+    windows = make_windows(seqs, t_in=10, k_out=10)
+    model = build_model(skeleton_preset("h36m22"), ModelConfig(
+        input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor", seed=0))
+    horizons = list(range(1, 11))
+    evaluate(model, windows, horizons)              # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        evaluate(model, windows, horizons)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+@pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
+def test_pooled_predict_after_training_reuses_freed_memory():
+    # The pool's threads allocate from the heap that training left free,
+    # not from fresh arenas of their own (14 MiB more resident here). The
+    # child reads its resident size, as its peak starts at this process's.
+    child = textwrap.dedent("""
+        from posecast import model as pm
+        from posecast.data import make_windows, skeleton_preset, synth_kinematic
+        from posecast.training import TrainConfig, train
+
+        pm._usable_cores = lambda: 2
+        seqs = [synth_kinematic(22, 8 + 19, period=15, seed=s) for s in range(4)]
+        windows = make_windows(seqs, t_in=10, k_out=10)
+        model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor"))
+        train(model, windows, TrainConfig(epochs=2, batch_size=32, lr_decay_epochs=()))
+
+        def resident_pages():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1])
+
+        before = resident_pages()
+        model.predict(windows.inputs)               # 32 windows, two chunks
+        print(resident_pages() - before)
+    """)
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         timeout=120, env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) * resource.getpagesize() < 4 << 20
 
 
 class TestEvaluate:
