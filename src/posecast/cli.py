@@ -102,16 +102,25 @@ def _check_run(config, **model_overrides):
     return skeleton, model_config, train_config, horizons, stride
 
 
-def _run_training(config, out_dir, run, extra_horizons=()):
-    """Train and write the run's files; returns the evaluation at the config's
-    horizons, which eval_report.txt holds, and at ``extra_horizons``."""
-    skeleton, model_config, train_config, horizons, stride = run
+def _start_runs(config, runs):
+    """Load the windows that every run of ``runs``, (out_dir, checked run)
+    pairs, trains on, then create each out_dir: after every check, so a
+    bad input writes nothing, and before the first step trains."""
+    skeleton, model_config, _, _, stride = runs[0][1]      # cells differ in L and D only
     windows = _load_windows(config_value("dataset", config.get("dataset"), "str"),
                             model_config, skeleton, stride)
+    for out_dir, _ in runs:
+        os.makedirs(out_dir, exist_ok=True)
+    return windows
+
+
+def _run_training(windows, out_dir, run, extra_horizons=()):
+    """Train and write the run's files; returns the evaluation at the config's
+    horizons, which eval_report.txt holds, and at ``extra_horizons``."""
+    skeleton, model_config, train_config, horizons, _ = run
     model = build_model(skeleton, model_config)
     log = train(model, windows, train_config)
 
-    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.pckp"), model)
     with open(os.path.join(out_dir, "train_log.jsonl"), "w") as f:
         f.writelines(json.dumps(asdict(record)) + "\n" for record in log)
@@ -124,7 +133,8 @@ def _run_training(config, out_dir, run, extra_horizons=()):
 def cmd_train(args):
     config = load_config(args.config)
     out_dir = config_value("output_dir", config.get("output_dir", "runs/default"), "str")
-    _run_training(config, out_dir, _check_run(config))
+    run = _check_run(config)
+    _run_training(_start_runs(config, [(out_dir, run)]), out_dir, run)
     print(f"wrote checkpoint, train_log.jsonl, eval_report.txt to {out_dir}")
     return EXIT_OK
 
@@ -172,11 +182,10 @@ def cmd_sweep(args):
         for hop in hops:
             run = _check_run(config, span=span, max_hop=hop)
             check_horizons([horizon], run[1].output_frames)
-            cells.append((span, hop, run))
-    rows = []
-    for span, hop, run in cells:
-        report = _run_training(config, os.path.join(base_out, f"L{span}D{hop}"), run, [horizon])
-        rows.append((span, hop, report.horizons[horizon]))
+            cells.append((span, hop, os.path.join(base_out, f"L{span}D{hop}"), run))
+    windows = _start_runs(config, [cell[2:] for cell in cells])
+    rows = [(span, hop, _run_training(windows, out_dir, run, [horizon]).horizons[horizon])
+            for span, hop, out_dir, run in cells]
     print(f"L  D  error@{horizon}")
     for span, hop, err in rows:
         print(f"{span}  {hop}  {err:.4f}")
@@ -198,11 +207,16 @@ def cmd_gradcheck(args):
 
 def cmd_graph_dump(args):
     skeleton = data_io.skeleton_preset(args.skeleton)
-    graphs.check_max_hop(skeleton.joint_count, args.max_hop)
-    partition = graphs.build_hop_partition(skeleton, args.max_hop)
-    multigraph = graphs.build_multigraph(partition, args.frames, args.span)
-    os.makedirs(args.out, exist_ok=True)
-    paths = graphs.dump_multigraph(multigraph, args.out)
+    v = skeleton.joint_count
+    graphs.check_max_hop(v, args.max_hop)
+    try:
+        partition = graphs.build_hop_partition(skeleton, args.max_hop)
+        multigraph = graphs.build_multigraph(partition, args.frames, args.span)
+        os.makedirs(args.out, exist_ok=True)
+        paths = graphs.dump_multigraph(multigraph, args.out)
+    except MemoryError as exc:
+        raise ValueError(f"cannot allocate the operators of V={v}, --frames {args.frames}, "
+                         f"--max-hop {args.max_hop}: {exc}") from exc
     print(f"wrote {len(paths)} operator files to {args.out}")
     return EXIT_OK
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from posecast import autodiff as ad
+from posecast.autodiff import CHUNK
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.gradcheck import check_gradients
-from posecast.model import PREDICT_CHUNK, ModelConfig, build_model
+from posecast.model import ModelConfig, build_model
 from posecast.training import evaluate
 
 
@@ -296,8 +297,8 @@ class TestNoGrad:
         model = build_model(skeleton_preset("chain_4"), ModelConfig(
             input_frames=3, output_frames=2, span=1, max_hop=1,
             value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
-        windows = make_windows([synth_kinematic(4, 3 * PREDICT_CHUNK + 4, 8)], 3, 2)
-        assert len(windows) > 2 * PREDICT_CHUNK
+        windows = make_windows([synth_kinematic(4, 3 * CHUNK + 4, 8)], 3, 2)
+        assert len(windows) > 2 * CHUNK
         evaluate(model, windows, [1, 2])
         assert model.forward(windows.inputs[:2]).predictions._backward is not None
 

@@ -1,6 +1,9 @@
 import copy
 import json
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +11,14 @@ import pytest
 import yaml
 
 from posecast import cli, gradcheck
+from posecast.autodiff import CHUNK
 from posecast.data import (load_sequences, make_windows, save_sequences, skeleton_preset,
                            synth_kinematic)
-from posecast.model import (PREDICT_CHUNK, ForecastModel, ModelConfig, build_model,
-                            load_checkpoint, save_checkpoint)
+from posecast.model import (ForecastModel, ModelConfig, build_model, load_checkpoint,
+                            save_checkpoint)
 from posecast.training import TrainConfig, check_horizons, evaluate
 
-from conftest import read_operator
+from conftest import child_env, read_operator
 
 
 @pytest.fixture
@@ -193,7 +197,7 @@ def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset,
                      "--horizon", "2"]) == 0
     windows = make_windows(load_sequences(dataset), 4, 3)
     assert sum(predicted) == 2 * len(windows)
-    assert len(predicted) == 2 * -(-len(windows) // PREDICT_CHUNK)
+    assert len(predicted) == 2 * -(-len(windows) // CHUNK)
     rows = capsys.readouterr().out.splitlines()
     cell = tmp_path / "run" / "L1D0"
     # The report holds the config's horizons only; the printed error is
@@ -295,6 +299,12 @@ MALFORMED = {
     "sweep_horizon_beyond_k": (_sweep("0,1", "0,1", "99"), "horizon 99"),
     "sweep_later_cell_bad_span": (_sweep("0,9", "0", "1"), "span must be in"),
     "sweep_later_cell_bad_hop": (_sweep("0", "0,9", "1"), "max_hop must be <= V - 1"),
+    "train_output_dir_under_file": (
+        lambda f: f["train_with"](None, output_dir=str(Path(f["poses.mgps"]) / "run")),
+        "Not a directory"),
+    "sweep_output_dir_under_file": (
+        lambda f: ["sweep", f["train_with"](None, output_dir=str(Path(f["poses.mgps"]) / "run"))[1],
+                   "--spans", "0,1", "--hops", "0", "--horizon", "1"], "Not a directory"),
     "graph_dump_max_hop_past_joints": (
         lambda f: ["graph-dump", "h36m22", "--frames", "2", "--span", "1",
                    "--max-hop", "50000000", "--out", f["dump"]], "max_hop"),
@@ -376,6 +386,27 @@ def test_graph_dump_unknown_skeleton(tmp_path):
     code = cli.main(["graph-dump", "octopus", "--frames", "2", "--span", "1",
                      "--max-hop", "1", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("skeleton, frames, v", [("chain_4", "40000", 4), ("h36m22", "3000", 22)])
+def test_graph_dump_unallocatable_size_names_it(skeleton, frames, v, tmp_path):
+    # chain_4's 40,000-frame band takes 11.9 GiB; h36m22's 3,000-frame band
+    # fits, its first dense (VT)^2 operator (32.5 GiB) does not. Run in a
+    # child whose address space is capped at 2 GiB, so an allocation fails
+    # there rather than exhausting the machine.
+    child = textwrap.dedent(f"""
+        import resource, sys
+        from posecast.cli import main
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        sys.exit(main(["graph-dump", {skeleton!r}, "--frames", {frames!r}, "--span", "1",
+                       "--max-hop", "1", "--out", {str(tmp_path / "ops")!r}]))
+    """)
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         timeout=60, env=child_env())
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("configuration error: cannot allocate")
+    assert f"V={v}, --frames {frames}, --max-hop 1" in run.stderr
+    assert len(run.stderr.splitlines()) == 1
 
 
 def test_single_frame_dump(tmp_path):

@@ -14,11 +14,10 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast import model as pm
-from posecast.autodiff import DimensionError
+from posecast.autodiff import CHUNK, DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import (
     HEADER_FIELDS,
-    PREDICT_CHUNK,
     ModelConfig,
     build_model,
     config_value,
@@ -27,7 +26,7 @@ from posecast.model import (
     save_checkpoint,
     temporal_align,
 )
-from posecast.training import TrainConfig, mpjpe_loss, train
+from posecast.training import TrainConfig, evaluate, mpjpe_loss, train
 
 from conftest import child_env
 
@@ -612,7 +611,7 @@ class TestGradientFlow:
         assert self.model.predict(self.x).tobytes() == out.tobytes()
 
     def test_predict_runs_PREDICT_CHUNK_windows_at_a_time(self):
-        n = PREDICT_CHUNK
+        n = CHUNK
         x = np.random.default_rng(12).normal(size=(2 * n + 5, 3, 4, 3))
         chunks = [self.model.forward(x[i: i + n]).predictions.values for i in (0, n, 2 * n)]
         assert [len(c) for c in chunks] == [n, n, 5]
@@ -664,10 +663,10 @@ def benchmark_model(skeleton):
 def openblas(monkeypatch):
     """numpy's OpenBLAS (get, set) pair, with map_chunks told there are
     two usable cores; skips where the setter cannot be found."""
-    threads = pm._openblas_threads()
+    threads = ad._openblas_threads()
     if threads is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter")
-    monkeypatch.setattr(pm, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
     get, put = threads
     initial = get()
     put(2)                            # a count the pool must change and restore
@@ -696,7 +695,7 @@ class TestChunkPool:
         assert len(ran_on) == 1 + 1 + 1 + 2 + 5
         assert ran_on[0][0] is threading.main_thread()
         assert all(t is not threading.main_thread() and n == 1 for t, n in ran_on[3:])
-        monkeypatch.setattr(pm, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
         for b, out in parallel.items():
             assert model.predict(x[:b]).tobytes() == out, b
 
@@ -704,32 +703,91 @@ class TestChunkPool:
         get, _ = openblas
         model = benchmark_model("chain_8")
         before = get()
-        model.predict(np.zeros((3 * PREDICT_CHUNK, 10, 8, 3)))
+        model.predict(np.zeros((3 * CHUNK, 10, 8, 3)))
         assert get() == before
         with pytest.raises(DimensionError, match="does not match"):
-            model.predict(np.zeros((3 * PREDICT_CHUNK, 10, 7, 3)))
+            model.predict(np.zeros((3 * CHUNK, 10, 7, 3)))
         assert get() == before
 
     def test_a_raising_chunk_waits_for_the_others(self, openblas):
         finished = []
 
-        def chunk(start):
-            if start == 0:
+        def chunk(rows):
+            if rows.start == 0:
                 raise DimensionError("chunk 0")
             time.sleep(0.2)
-            finished.append(start)
+            finished.append(rows.start // CHUNK)
 
         with pytest.raises(DimensionError, match="chunk 0"):
-            pm.map_chunks(chunk, [0, 1])
+            ad.map_chunks(chunk, 2 * CHUNK)
         assert finished == [1]
         assert openblas[0]() == 2
+
+    def test_no_thread_outlives_a_call(self, openblas):
+        model = benchmark_model("chain_8")
+        windows = make_windows([synth_kinematic(8, 3 * CHUNK + 19, 8)], 10, 10)
+        forward, ran_on = model.forward, set()
+
+        def spy(chunk):
+            ran_on.add(threading.current_thread())
+            return forward(chunk)
+
+        model.forward = spy
+        before = threading.active_count()
+        model.predict(windows.inputs)
+        assert threading.active_count() == before
+        evaluate(model, windows, [1, 10])
+        assert threading.active_count() == before
+        assert threading.main_thread() not in ran_on and len(ran_on) >= 2
+        assert not any(t.is_alive() for t in ran_on)
+
+    def test_empty_batch_keeps_its_shape_and_checks_it(self):
+        model = benchmark_model("chain_8")
+        assert model.predict(np.zeros((0, 10, 8, 3))).shape == (0, 10, 8, 3)
+        for shape in ((0, 9, 8, 3), (0, 10, 7, 3)):
+            with pytest.raises(DimensionError, match="does not match"):
+                model.predict(np.zeros(shape))
+
+    def test_forked_child_runs_chunks_on_threads_while_parent_holds_the_lock(self):
+        # The child is forked while another thread of the parent holds the
+        # lock; that thread does not exist in the child, so nothing there
+        # ever releases the lock unless the fork resets it.
+        child = textwrap.dedent("""
+            import os, threading, warnings
+            from posecast import autodiff as ad
+
+            warnings.simplefilter("ignore", DeprecationWarning)   # fork beside a thread
+            ad._usable_cores = lambda: 2
+            ad._openblas_threads = lambda: (lambda: 1, lambda n: None)
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with ad._chunk_lock:
+                    held.set()
+                    release.wait(timeout=30)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert held.wait(timeout=30)
+            pid = os.fork()
+            if pid == 0:
+                ran_on = ad.map_chunks(lambda rows: threading.current_thread(), 2 * ad.CHUNK)
+                os._exit(0 if threading.main_thread() not in ran_on else 1)
+            release.set()
+            holder.join(timeout=30)
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=60, env=child_env())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "0\n", "the forked child ran its chunks on the calling thread"
 
     def test_concurrent_callers_agree_and_restore_blas(self, openblas):
         # More callers than cores, switching threads every microsecond:
         # the callers that find the pool busy run their chunks serially.
         get, _ = openblas
         model = benchmark_model("chain_8")
-        x = np.random.default_rng(14).normal(size=(2 * PREDICT_CHUNK + 3, 10, 8, 3))
+        x = np.random.default_rng(14).normal(size=(2 * CHUNK + 3, 10, 8, 3))
         expected = model.predict(x).tobytes()
         before, results = get(), []
         interval = sys.getswitchinterval()
@@ -752,6 +810,7 @@ class TestChunkPool:
             import sys, threading
             import numpy as np
             import posecast.cli
+            from posecast import autodiff as ad
             from posecast import model as pm
             from posecast.data import make_windows, skeleton_preset, synth_kinematic
             from posecast.training import evaluate
@@ -761,11 +820,11 @@ class TestChunkPool:
 
             assert "concurrent.futures" not in sys.modules
             assert threading.active_count() == 1
-            pm._openblas_threads = lookup
+            ad._openblas_threads = lookup
             model = pm.build_model(skeleton_preset("chain_4"), pm.ModelConfig(
                 input_frames=3, output_frames=2, span=1, max_hop=1,
                 value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
-            for b in (0, 1, pm.PREDICT_CHUNK):
+            for b in (0, 1, ad.CHUNK):
                 model.predict(np.zeros((b, 3, 4, 3)))
             evaluate(model, make_windows([synth_kinematic(4, 20, 8)], 3, 2), [1, 2])
             assert "concurrent.futures" not in sys.modules
@@ -781,10 +840,11 @@ class TestChunkPool:
         child = textwrap.dedent("""
             import hashlib
             import numpy as np
+            from posecast import autodiff as ad
             from posecast import model as pm
             from posecast.data import skeleton_preset
 
-            pm._usable_cores = lambda: 1            # the serial loop
+            ad._usable_cores = lambda: 1            # the serial loop
             model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
                 input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor"))
             x = np.random.default_rng(15).normal(size=(40, 10, 22, 3))

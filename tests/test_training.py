@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from posecast import autodiff as ad
-from posecast.autodiff import DimensionError
+from posecast.autodiff import CHUNK, DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
-from posecast.model import PREDICT_CHUNK, ModelConfig, build_model
+from posecast.model import ModelConfig, build_model
 from posecast.training import (
     NumericalError,
     TrainConfig,
@@ -217,11 +217,12 @@ def test_pooled_predict_after_training_reuses_freed_memory():
     # not from fresh arenas of their own (14 MiB more resident here). The
     # child reads its resident size, as its peak starts at this process's.
     child = textwrap.dedent("""
+        from posecast import autodiff as ad
         from posecast import model as pm
         from posecast.data import make_windows, skeleton_preset, synth_kinematic
         from posecast.training import TrainConfig, train
 
-        pm._usable_cores = lambda: 2
+        ad._usable_cores = lambda: 2
         seqs = [synth_kinematic(22, 8 + 19, period=15, seed=s) for s in range(4)]
         windows = make_windows(seqs, t_in=10, k_out=10)
         model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
@@ -280,7 +281,7 @@ class TestEvaluate:
         # More windows than one predict chunk, horizons in any order.
         model = tiny_model()
         windows = make_windows([synth_kinematic(5, 90, 8, seed=s) for s in range(2)], 4, 3)
-        assert len(windows) > 2 * PREDICT_CHUNK
+        assert len(windows) > 2 * CHUNK
         preds = model.predict(windows.inputs)
         report = evaluate(model, windows, [3, 1, 2])
         baseline = baseline_report(windows, [2, 3])
