@@ -5,9 +5,11 @@ through one rule, ``_record``: its result holds its inputs and a backward
 closure when recording is on and some input is live (a parameter or a
 graph node), and is a plain tensor otherwise. ``backward()`` on a scalar
 root walks the recorded graph once in reverse topological order and
-accumulates gradients into tensors created with ``requires_grad=True``.
-Constants never receive gradients, and no closure computes a gradient
-for an input that cannot pass one on.
+accumulates gradients into tensors created with ``requires_grad=True``;
+``gradients(root, params)`` makes the same walk but returns the
+parameters' gradients in arrays of its own, so threads may each walk a
+graph over the same parameters. Constants never receive gradients, and
+no closure computes a gradient for an input that cannot pass one on.
 
 The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
@@ -36,6 +38,7 @@ __all__ = [
     "UninitializedGradientError",
     "GraphReleasedError",
     "no_grad",
+    "gradients",
     "CHUNK",
     "map_chunks",
     "parameter",
@@ -59,13 +62,19 @@ __all__ = [
 ]
 
 
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tune_allocator():
     """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse,
-    by every thread.
+    in one arena per chunk thread.
 
     Sets M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to
-    256 MiB and M_ARENA_MAX (-8) to 1; returns whether all took. Does
-    nothing without mallopt.
+    256 MiB and M_ARENA_MAX (-8) to one more than the usable cores;
+    returns whether all took. Does nothing without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -74,10 +83,14 @@ def _tune_allocator():
     except (OSError, AttributeError, TypeError):
         return False
     # By default every large temporary is a fresh mmap, zeroed and faulted
-    # in page by page on each step, then unmapped on free. And each thread
-    # that map_chunks starts would take a fresh arena, leaving the memory
-    # that training freed in the main arena unused beside it.
-    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20), mallopt(-8, 1)])
+    # in page by page on each step, then unmapped on free. Each thread that
+    # map_chunks starts takes over the arena a thread of an earlier call
+    # left: in one arena shared by both threads, the heap's high-water mark
+    # hangs on how their allocations interleave, so a call now and then
+    # faults in a megabyte of fresh pages. The cap bounds the arenas made
+    # when a new thread starts before an old one has handed its arena back.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20),
+                mallopt(-8, 1 + _usable_cores())])
 
 
 _allocator_tuned = _tune_allocator()
@@ -131,6 +144,33 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+class _GradSink(threading.local):
+    """Per thread: while ``gradients`` runs, the parameter -> gradient
+    dict that ``_accumulate`` fills instead of the parameters' ``grad``."""
+
+    grads = None
+
+
+_grad_sink = _GradSink()
+
+
+def gradients(root, params):
+    """The gradients of the scalar ``root`` with respect to ``params``: one
+    new array per parameter, or None where no gradient reached it.
+
+    Walks and releases the graph as ``root.backward()`` does, but writes
+    nothing into any parameter's ``grad``; leaves outside ``params`` get
+    no gradient either. The arrays are this call's own, so threads may
+    each take gradients through graphs that share parameters.
+    """
+    sink = _grad_sink.grads = {}
+    try:
+        root.backward()
+    finally:
+        _grad_sink.grads = None
+    return [sink.get(p) for p in params]
+
+
 # Rows per call of map_chunks' fn. At 16 windows every temporary of an
 # h36m22 forward pass stays under _tune_allocator's 32 MiB mmap threshold,
 # and two chunks in flight keep a 256-window evaluate at 58 MiB peak RSS.
@@ -138,12 +178,6 @@ CHUNK = 16
 _chunk_lock = threading.Lock()      # held by the one map_chunks call that runs threads
 # A forked child holds only the forking thread, so no thread there holds the lock.
 os.register_at_fork(after_in_child=_chunk_lock._at_fork_reinit)
-
-
-def _usable_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -234,7 +268,11 @@ class Tensor:
                 f"backward() requires a scalar root, got shape {self.values.shape}"
             )
         order = _toposort(self)
-        self.grad = np.ones_like(self.values)
+        seed = np.ones_like(self.values)
+        if self.requires_grad and _grad_sink.grads is not None:
+            _grad_sink.grads[self] = seed           # a parameter as its own root
+        else:
+            self.grad = seed
         while order:
             node = order.pop()
             if node._backward is None:
@@ -285,16 +323,21 @@ def _toposort(root):
 
 
 def _accumulate(tensor, grad, fresh):
-    """Add ``grad`` into ``tensor.grad``.
+    """Add ``grad`` into ``tensor.grad``, or, for a parameter while
+    ``gradients`` runs in this thread, into its entry there.
 
     ``fresh`` says the calling closure allocated ``grad`` itself, so no
     other tensor can hold it and the first gradient may keep it. Anything
     else (the incoming gradient, or a view of it) is copied first.
     """
-    if tensor.grad is None:
+    sink = _grad_sink.grads if tensor.requires_grad else None
+    held = tensor.grad if sink is None else sink.get(tensor)
+    if held is not None:
+        held += grad
+    elif sink is None:
         tensor.grad = grad if fresh else grad.copy()
     else:
-        tensor.grad += grad
+        sink[tensor] = grad if fresh else grad.copy()
 
 
 def _unbroadcast(grad, shape):
@@ -485,6 +528,22 @@ def tail(a, start):
     return _unary(a, a.values[:, start:], grad_of)
 
 
+# Rows per block of a weight gradient's contraction. OpenBLAS sums a longer
+# contraction in another order at two threads than at one (560 rows already
+# differ), so the trained bytes would hang on the BLAS thread count; at 1024
+# they still do, at 512 they did not.
+_ROW_BLOCK = 512
+
+
+def _row_block_product(rows, g):
+    """a.T @ g, summed over blocks of _ROW_BLOCK rows in order, where
+    ``rows(i, j)`` gives rows i:j of a, so that a need not exist whole."""
+    out = rows(0, _ROW_BLOCK).T @ g[:_ROW_BLOCK]
+    for i in range(_ROW_BLOCK, len(g), _ROW_BLOCK):
+        out += rows(i, i + _ROW_BLOCK).T @ g[i: i + _ROW_BLOCK]
+    return out
+
+
 def _apply_band(band, x):
     """band acting on the frame axis of x: [B, T, V, C]."""
     b, t, v, c = x.shape
@@ -530,14 +589,17 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
     runs on the narrower channel side, all hops in one stacked product.
     When C_in < C_out the band acts on h, then the hops, giving
     z = [B*T*V, (D+1)*C_in], and one product with the stacked weights
-    writes the output; z is kept for the weight gradient, which then
-    needs no band. Backward takes the input gradient back through the
-    weights and the transposed hops, and applies the transposed band
-    last, C_in wide; with no input gradient to form, no band runs.
-    Otherwise one product h @ [W_0 ... W_D] comes first, then the stacked
-    hops, and the band is applied once, to the sum; backward applies the
-    transposed band first, then all hops stacked. Either way each
-    gradient takes one weight product.
+    writes the output. z is not kept: it is D+1 times as wide as h, which
+    the graph holds anyway, and the weight gradient forms z again, block
+    by block of rows, from the windows of h that hold the block, with the
+    same two products, so the same bytes. Backward takes the input
+    gradient back through the weights and the transposed hops, and
+    applies the transposed band last, C_in wide. Otherwise one product
+    h @ [W_0 ... W_D] comes first, then the stacked hops, and the band is
+    applied once, to the sum; backward applies the transposed band first,
+    then all hops stacked. Either way each gradient takes one weight
+    product, and a weight gradient's contraction over the B*T*V rows is
+    summed over fixed blocks of rows, in order (``_row_block_product``).
 
     tanh runs in place on the output, and backward multiplies the
     incoming gradient in place by its derivative 1 - y^2, formed from that
@@ -566,10 +628,17 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
         )
     x = h.values.reshape(-1, t, v, c_in)
     b = x.shape[0]
+
+    def z_rows(i, j):
+        """Rows i:j of z = [B*T*V, (D+1)*C_in], formed over the whole
+        windows that hold them."""
+        first, end = i // n, -(-min(j, b * n) // n)
+        z = hop_stack @ _apply_band(band, x[first:end])
+        return z.reshape(-1, k_count * c_in)[i - first * n: j - first * n]
+
     if hops_first:
         w_cat = stack.reshape(k_count * c_in, c_out)
-        z = (hop_stack @ _apply_band(band, x)).reshape(b * n, k_count * c_in)
-        out_values = (z @ w_cat).reshape(*lead, t, v, c_out)
+        out_values = (z_rows(0, b * n) @ w_cat).reshape(*lead, t, v, c_out)
     else:
         w_cat = stack.reshape(c_in, k_count * c_out)
         p = x.reshape(b * n, c_in) @ w_cat
@@ -586,7 +655,7 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
         if hops_first:
             g = grad.reshape(b * n, c_out)
             if w_live:
-                dw = (z.T @ g).reshape(k_count, c_in, c_out)
+                dw = _row_block_product(z_rows, g).reshape(k_count, c_in, c_out)
             if h_live:
                 dz = (g @ w_cat.T).reshape(b, t, v * k_count, c_in)
                 dx = hop_stack.T @ dz
@@ -597,7 +666,9 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
             # dp: all transposed hops applied to g, [B*T*V, (D+1) * C_out].
             dp = (hop_stack @ g).reshape(b * n, k_count * c_out)
             if w_live:
-                dw = (x.reshape(b * n, c_in).T @ dp).reshape(c_in, k_count, c_out)
+                x_rows = x.reshape(b * n, c_in)
+                dw = _row_block_product(lambda i, j: x_rows[i:j], dp)
+                dw = dw.reshape(c_in, k_count, c_out)
                 dw = dw.transpose(1, 0, 2)
             if h_live:
                 dx = dp @ w_cat.T

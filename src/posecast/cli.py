@@ -212,7 +212,6 @@ def cmd_graph_dump(args):
     try:
         partition = graphs.build_hop_partition(skeleton, args.max_hop)
         multigraph = graphs.build_multigraph(partition, args.frames, args.span)
-        os.makedirs(args.out, exist_ok=True)
         paths = graphs.dump_multigraph(multigraph, args.out)
     except MemoryError as exc:
         raise ValueError(f"cannot allocate the operators of V={v}, --frames {args.frames}, "

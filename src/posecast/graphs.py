@@ -208,19 +208,25 @@ def write_operator(path, matrix, joint_count, frame_count, span, max_hop, hop):
 
 
 def dump_multigraph(multigraph, out_dir):
-    """Write every hop operator pre- and post-normalization; returns paths."""
+    """Write every hop operator pre- and post-normalization into out_dir,
+    which is made if missing; returns paths.
+
+    Each dense (VT)^2 operator is formed in turn in one buffer, allocated
+    before out_dir is made, so a size that cannot be allocated raises
+    MemoryError and leaves nothing behind.
+    """
+    v, t = multigraph.joint_count, multigraph.frame_count
+    meta = (v, t, multigraph.span, multigraph.max_hop)
+    band = _frame_band(t, multigraph.span)
+    dense = np.empty((t * v, t * v))
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
-    meta = (
-        multigraph.joint_count,
-        multigraph.frame_count,
-        multigraph.span,
-        multigraph.max_hop,
-    )
-    band = _frame_band(multigraph.frame_count, multigraph.span)
     for k, (layer, hop) in enumerate(zip(multigraph.partition.layers, multigraph.hops)):
-        dense = {"pre": np.kron(band, layer), "post": np.kron(multigraph.band, hop)}
-        for tag, matrix in dense.items():
+        for tag, frames, joints in (("pre", band, layer), ("post", multigraph.band, hop)):
+            # kron(frames, joints), written in place
+            np.multiply(frames[:, None, :, None], joints[None, :, None, :],
+                        out=dense.reshape(t, v, t, v))
             path = os.path.join(out_dir, f"operator_k{k}_{tag}.txt")
-            write_operator(path, matrix, *meta, hop=k)
+            write_operator(path, dense, *meta, hop=k)
             paths.append(path)
     return paths

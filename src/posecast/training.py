@@ -8,6 +8,9 @@ convention for per-horizon columns), averaged over windows.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -86,11 +89,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def mpjpe_loss(pred, truth):
-    """Differentiable mean per-joint position error.
-
-    pred: [batch, K, V, 3] tensor; truth: same-shape array or tensor.
-    """
+def _error_sum(pred, truth):
+    """The differentiable sum of the per-joint position errors, and their count."""
     truth = truth if isinstance(truth, ad.Tensor) else ad.constant(truth)
     if pred.shape != truth.shape:
         raise DimensionError(
@@ -99,8 +99,16 @@ def mpjpe_loss(pred, truth):
     diff = ad.sub(pred, truth)
     sq_norm = ad.tensor_sum(ad.mul(diff, diff), axis=-1)
     per_joint = ad.sqrt(sq_norm)                      # [batch, K, V]
-    total = ad.tensor_sum(per_joint)
-    return ad.mul(total, ad.constant(1.0 / per_joint.values.size))
+    return ad.tensor_sum(per_joint), per_joint.values.size
+
+
+def mpjpe_loss(pred, truth):
+    """Differentiable mean per-joint position error.
+
+    pred: [batch, K, V, 3] tensor; truth: same-shape array or tensor.
+    """
+    total, count = _error_sum(pred, truth)
+    return ad.mul(total, ad.constant(1.0 / count))
 
 
 def mpjpe_value(pred, truth):
@@ -124,6 +132,14 @@ def train(model, windows, config):
     Parameters update in place. The learning rate multiplies by the decay
     factor exactly at the configured epoch indices. All shuffling comes
     from the config seed.
+
+    Each batch runs forward and backward ``ad.CHUNK`` windows at a time,
+    the chunks through ``ad.map_chunks``, so on several threads at once:
+    windows are independent, so the batch's gradient is the sum of its
+    chunks'. Every chunk takes its gradients in arrays of its own, seeded
+    as the whole batch's loss seeds them; they are summed in chunk order
+    into each parameter's ``grad``. The step's loss is ``mpjpe_loss`` of
+    the batch's predictions, taken once, on the calling thread.
     """
     _require_windows(windows, "train")
     params = model.parameters()
@@ -139,8 +155,15 @@ def train(model, windows, config):
         for start in range(0, len(order), config.batch_size):
             idx = order[start: start + config.batch_size]
             inputs, targets = windows.batch(idx)
-            loss = mpjpe_loss(model.forward(inputs).predictions, targets)
-            value = loss.item()
+            scale = ad.constant(1.0 / math.prod(targets.shape[:-1]))    # 1 / (B*K*V)
+
+            def chunk(rows):
+                pred = model.forward(inputs[rows]).predictions
+                total, _ = _error_sum(pred, targets[rows])
+                return pred.values, ad.gradients(ad.mul(total, scale), params)
+
+            preds, grads = zip(*ad.map_chunks(chunk, len(idx)))
+            value = mpjpe_loss(ad.constant(np.concatenate(preds)), targets).item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
                                   for name, p in model.params.items())
@@ -148,9 +171,10 @@ def train(model, windows, config):
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"
                 )
-            for p in params:
-                p.zero_grad()
-            loss.backward()
+            for p, parts in zip(params, zip(*grads)):      # in chunk order
+                parts = [g for g in parts if g is not None]
+                p.grad = functools.reduce(operator.iadd, parts) if parts else None
+            del preds, grads        # the chunks' arrays, but for p.grad's
             if config.clip_norm is not None:
                 _clip_gradients(params, config.clip_norm)
             adam_step(params, state, lr)

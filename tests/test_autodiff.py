@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -162,6 +163,57 @@ class TestBackward:
         c = ad.constant([3.0, 4.0])
         ad.tensor_sum(ad.mul(w, c)).backward()
         assert c.grad is None
+
+
+class TestGradients:
+    def test_match_backward_and_leave_grad_alone(self):
+        def loss(w, u):                 # u never reaches the root
+            s = ad.mul(w, ad.constant([3.0, -1.0]))
+            return ad.tensor_sum(ad.add(ad.mul(s, s), w))
+
+        w, u = ad.parameter([1.0, 2.0]), ad.parameter([5.0])
+        w.grad = sentinel = np.array([7.0, 7.0])
+        grads = ad.gradients(loss(w, u), [w, u])
+        assert w.grad is sentinel and np.array_equal(sentinel, [7.0, 7.0]) and u.grad is None
+        assert grads[1] is None
+        w.grad = None
+        loss(w, u).backward()
+        assert np.array_equal(grads[0], w.grad)
+
+    def test_parameter_as_its_own_root(self):
+        p = ad.parameter(3.0)
+        assert ad.gradients(p, [p]) == [1.0] and p.grad is None
+
+    def test_walk_releases_the_graph(self):
+        w = ad.parameter([1.0, 2.0])
+        root = ad.tensor_sum(ad.mul(w, w))
+        assert np.array_equal(ad.gradients(root, [w])[0], [2.0, 4.0])
+        with pytest.raises(ad.GraphReleasedError):
+            ad.gradients(root, [w])
+
+    def test_threads_over_shared_parameters_keep_their_own(self):
+        # Switching threads every microsecond: each walk's gradients stay its own.
+        w = ad.parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+
+        def grads(scale):
+            h = ad.tanh(ad.matmul(ad.constant(np.full((4, 2), scale)), w))
+            return ad.gradients(ad.tensor_sum(ad.mul(h, h)), [w])[0]
+
+        expected = {k: grads(k) for k in range(8)}
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda k=k: results.update({k: grads(k)}))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert w.grad is None
+        assert all(np.array_equal(results[k], expected[k]) for k in range(8))
 
 
 class TestAdam:

@@ -393,7 +393,7 @@ def test_graph_dump_unallocatable_size_names_it(skeleton, frames, v, tmp_path):
     # chain_4's 40,000-frame band takes 11.9 GiB; h36m22's 3,000-frame band
     # fits, its first dense (VT)^2 operator (32.5 GiB) does not. Run in a
     # child whose address space is capped at 2 GiB, so an allocation fails
-    # there rather than exhausting the machine.
+    # there rather than exhausting the machine. Nothing is left behind.
     child = textwrap.dedent(f"""
         import resource, sys
         from posecast.cli import main
@@ -407,6 +407,7 @@ def test_graph_dump_unallocatable_size_names_it(skeleton, frames, v, tmp_path):
     assert run.stderr.startswith("configuration error: cannot allocate")
     assert f"V={v}, --frames {frames}, --max-hop 1" in run.stderr
     assert len(run.stderr.splitlines()) == 1
+    assert not (tmp_path / "ops").exists()
 
 
 def test_single_frame_dump(tmp_path):

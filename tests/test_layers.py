@@ -234,6 +234,30 @@ class TestFactoredGraphConv:
         assert h.grad is None
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
+    def test_weight_gradients_summed_over_row_blocks(self, c_in, c_out):
+        # 130 windows of 12 nodes: three full row blocks and a partial one.
+        rng = np.random.default_rng(15)
+        g = multigraph(chain(4), frames=3, span=1, max_hop=3)
+        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        h = ad.parameter(rng.normal(size=poses(g, 130, c_in)))
+        assert 3 * ad._ROW_BLOCK < 130 * 12 < 4 * ad._ROW_BLOCK
+        target = rng.normal(size=poses(g, 130, c_out))
+
+        def grads(out):
+            for p in [h, *layer.weights]:
+                p.zero_grad()
+            ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
+            return [p.grad for p in [h, *layer.weights]]
+
+        dense = None
+        for a_k, w_k in zip(kron_operators(g), layer.weights):
+            term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
+            dense = term if dense is None else ad.add(dense, term)
+        expected = grads(ad.tanh(dense))
+        for got, want in zip(grads(layer.forward(h, g)), expected, strict=True):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
     def test_repeated_calls_are_bit_identical(self, c_in, c_out):
         rng = np.random.default_rng(12)
         g = multigraph(chain(6), frames=4, span=2, max_hop=2)

@@ -723,6 +723,23 @@ class TestChunkPool:
         assert finished == [1]
         assert openblas[0]() == 2
 
+    def test_the_first_raising_slice_raises(self, openblas):
+        # Slice 2 raises first, slice 1 later; slice 1's error is raised,
+        # once every slice has run.
+        ran = []
+
+        def chunk(rows):
+            i = rows.start // CHUNK
+            ran.append(i)
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 2):
+                raise DimensionError(f"chunk {i}")
+
+        with pytest.raises(DimensionError, match="chunk 1"):
+            ad.map_chunks(chunk, 4 * CHUNK)
+        assert sorted(ran) == [0, 1, 2, 3]
+
     def test_no_thread_outlives_a_call(self, openblas):
         model = benchmark_model("chain_8")
         windows = make_windows([synth_kinematic(8, 3 * CHUNK + 19, 8)], 10, 10)

@@ -2,11 +2,13 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
 from posecast import autodiff as ad
+from posecast import training
 from posecast.autodiff import CHUNK, DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import ModelConfig, build_model
@@ -176,6 +178,90 @@ class TestTrainLoop:
     def test_rates_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+
+class TestChunkedSteps:
+    """Each step runs CHUNK-window micro-batches through map_chunks."""
+
+    def test_step_loss_is_the_batch_mpjpe_taken_once_on_the_calling_thread(self, monkeypatch):
+        # The benchmark reads each step's loss from the last mpjpe_loss
+        # return and ends the step on adam_step; both hooks as it sets them.
+        model, windows = tiny_model(seed=2), tiny_windows(n_frames=102, seed=2)
+        config = TrainConfig(epochs=1, batch_size=3 * CHUNK, lr_decay_epochs=(), seed=4)
+        order = np.random.default_rng(config.seed).permutation(len(windows))
+        batches = [order[i: i + config.batch_size] for i in range(0, len(order), config.batch_size)]
+        assert [len(b) for b in batches] == [3 * CHUNK, 3 * CHUNK]
+        calls, steps = [], []
+
+        def capture_loss(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(("loss", threading.current_thread(), fn(*args, **kwargs)))
+                return calls[-1][2]
+            return wrapped
+
+        def end_of_step(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(("adam", threading.current_thread(), None))
+                inputs, targets = windows.batch(batches[len(steps)])
+                steps.append((calls[-2][2].item(), mpjpe_value(model.predict(inputs), targets)))
+                fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(training, "mpjpe_loss", capture_loss(training.mpjpe_loss))
+        monkeypatch.setattr(training, "adam_step", end_of_step(training.adam_step))
+        train(model, windows, config)
+        assert [kind for kind, _, _ in calls] == ["loss", "adam"] * 2
+        assert all(thread is threading.main_thread() for _, thread, _ in calls)
+        for captured, pre_step in steps:
+            assert captured == pytest.approx(pre_step, rel=0, abs=1e-12)
+
+    def test_step_gradient_is_the_whole_batch_gradient(self, monkeypatch):
+        model, windows = tiny_model(seed=6), tiny_windows(n_frames=46, seed=6)
+        config = TrainConfig(epochs=1, batch_size=len(windows), clip_norm=None,
+                             lr_decay_epochs=(), seed=0)
+        assert 2 * CHUNK < len(windows) < 3 * CHUNK
+        params = model.parameters()
+        mpjpe_loss(model.forward(windows.inputs).predictions, windows.targets).backward()
+        expected = [p.grad for p in params]
+        seen = []
+        monkeypatch.setattr(training, "adam_step",
+                            lambda ps, state, lr: seen.append([p.grad for p in ps]))
+        train(model, windows, config)
+        for got, want in zip(seen[0], expected, strict=True):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_trained_parameters_do_not_depend_on_blas_threads(self):
+        # Two Adam steps on each benchmark skeleton, at one chunk (B = 7, the
+        # plain loop at the process's BLAS thread count) and at three
+        # (B = 42, pooled). Weight gradients sum fixed blocks of rows in a
+        # fixed order; blocks of 1024 rows already differ at B = 7 here.
+        child = textwrap.dedent("""
+            import hashlib
+            from posecast import model as pm
+            from posecast.data import make_windows, skeleton_preset, synth_kinematic
+            from posecast.training import TrainConfig, train
+
+            for skeleton, v, kw in (
+                    ("h36m22", 22, dict(span=2, max_hop=3, strategy="anchor")),
+                    ("chain_8", 8, dict(span=1, max_hop=1, strategy="pseudo_autoregressive"))):
+                seqs = [synth_kinematic(v, 26, period=15, seed=s) for s in range(6)]
+                windows = make_windows(seqs, t_in=10, k_out=10)
+                for b in (7, 42):
+                    model = pm.build_model(skeleton_preset(skeleton), pm.ModelConfig(
+                        input_frames=10, output_frames=10, seed=0, **kw))
+                    train(model, windows[:b], TrainConfig(epochs=2, batch_size=b,
+                                                          lr_decay_epochs=()))
+                    params = b"".join(p.values.tobytes() for p in model.parameters())
+                    print(skeleton, b, hashlib.sha256(params).hexdigest())
+        """)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                                 text=True, timeout=120, env=env)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.splitlines())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 @pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
