@@ -15,7 +15,8 @@ The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
 ``with no_grad():`` operations record nothing at all; the block holds
 for the thread that entered it, and every other thread keeps recording.
-``map_chunks`` runs a function over fixed chunks of rows on threads.
+``map_chunks`` runs a function over chunks of items on threads, each chunk
+as many items as fit in a fixed budget of graph rows.
 
 Broadcasting is supported over leading batch dimensions only.
 """
@@ -39,7 +40,8 @@ __all__ = [
     "GraphReleasedError",
     "no_grad",
     "gradients",
-    "CHUNK",
+    "CHUNK_ROWS",
+    "chunk_size",
     "map_chunks",
     "parameter",
     "constant",
@@ -171,10 +173,21 @@ def gradients(root, params):
     return [sink.get(p) for p in params]
 
 
-# Rows per call of map_chunks' fn. At 16 windows every temporary of an
-# h36m22 forward pass stays under _tune_allocator's 32 MiB mmap threshold,
-# and two chunks in flight keep a 256-window evaluate at 58 MiB peak RSS.
-CHUNK = 16
+# Graph rows per call of map_chunks' fn. A window's augmented graph has
+# max(T, K)*V rows, and a chunk's work and temporaries grow with its rows,
+# not its window count. Within 2,048 rows an h36m22 training chunk (8
+# windows) peaks at 11.2 MiB, every temporary stays under _tune_allocator's
+# 32 MiB mmap threshold, and chain_8 keeps the 16-window chunk: at 8, its
+# per-chunk overhead cost it 7-14% of its training throughput.
+CHUNK_ROWS = 2048
+
+
+def chunk_size(rows):
+    """Items per chunk for items of ``rows`` graph rows each: the largest
+    power of two whose rows fit in CHUNK_ROWS, and at least one."""
+    return 1 << max(0, (CHUNK_ROWS // rows).bit_length() - 1)
+
+
 _chunk_lock = threading.Lock()      # held by the one map_chunks call that runs threads
 # A forked child holds only the forking thread, so no thread there holds the lock.
 os.register_at_fork(after_in_child=_chunk_lock._at_fork_reinit)
@@ -199,9 +212,10 @@ def _openblas_threads():
     return None
 
 
-def map_chunks(fn, n):
-    """``fn`` on each CHUNK-long slice of ``range(n)``, the results in order,
-    the calls spread over threads, one per usable core.
+def map_chunks(fn, n, rows):
+    """``fn`` on each ``chunk_size(rows)``-long slice of ``range(n)``, for
+    items of ``rows`` graph rows each; the results in order, the calls
+    spread over threads, one per usable core.
 
     The threads start in this call and have ended when it returns or
     raises; a raising call raises once every call has ended. Meanwhile
@@ -211,7 +225,8 @@ def map_chunks(fn, n):
     OpenBLAS thread setter, or while another call runs threads. Each call
     of ``fn`` must write only what no other call reads or writes.
     """
-    slices = [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
+    step = chunk_size(rows)
+    slices = [slice(i, i + step) for i in range(0, n, step)]
     blas = _openblas_threads() if len(slices) > 1 and _usable_cores() > 1 else None
     if blas is None or not _chunk_lock.acquire(blocking=False):
         return [fn(s) for s in slices]

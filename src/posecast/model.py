@@ -170,6 +170,11 @@ class ForecastModel:
     def joint_count(self):
         return self.skeleton.joint_count
 
+    @property
+    def window_rows(self):
+        return window_rows(self.config.input_frames, self.config.output_frames,
+                           self.joint_count)
+
     def parameters(self):
         return list(self.params.values())
 
@@ -214,10 +219,11 @@ class ForecastModel:
     def predict(self, x):
         """Forward pass without recording a graph; returns plain arrays.
 
-        Runs ``ad.CHUNK`` windows at a time, the chunks through
-        ``ad.map_chunks``. The fixed chunk keeps every temporary below the
-        32 MiB up to which ``autodiff`` has the allocator reuse freed
-        memory, and makes the result independent of the core count.
+        Runs ``ad.chunk_size(self.window_rows)`` windows at a time, the
+        chunks through ``ad.map_chunks``. The chunk, fixed by T, K and V,
+        keeps every temporary below the 32 MiB up to which ``autodiff`` has
+        the allocator reuse freed memory, and makes the result independent
+        of the core count.
         """
         x = np.asarray(x, dtype=np.float64)
 
@@ -226,7 +232,14 @@ class ForecastModel:
                 return self.forward(x[rows]).predictions.values
 
         # An empty batch runs one empty chunk, so it keeps its shape.
-        return np.concatenate(ad.map_chunks(chunk, len(x)) or [chunk(slice(0, 0))])
+        return np.concatenate(ad.map_chunks(chunk, len(x), self.window_rows)
+                              or [chunk(slice(0, 0))])
+
+
+def window_rows(t, k, v):
+    """Rows of a window's larger augmented graph, of T input or K output
+    frames of V joints: what ``ad.chunk_size`` sizes chunks by."""
+    return max(t, k) * v
 
 
 def build_model(skeleton, config):

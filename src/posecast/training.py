@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
-from .model import config_value
+from .model import config_value, window_rows
 
 __all__ = [
     "TrainConfig",
@@ -133,13 +133,14 @@ def train(model, windows, config):
     factor exactly at the configured epoch indices. All shuffling comes
     from the config seed.
 
-    Each batch runs forward and backward ``ad.CHUNK`` windows at a time,
-    the chunks through ``ad.map_chunks``, so on several threads at once:
-    windows are independent, so the batch's gradient is the sum of its
-    chunks'. Every chunk takes its gradients in arrays of its own, seeded
-    as the whole batch's loss seeds them; they are summed in chunk order
-    into each parameter's ``grad``. The step's loss is ``mpjpe_loss`` of
-    the batch's predictions, taken once, on the calling thread.
+    Each batch runs forward and backward ``ad.chunk_size(model.window_rows)``
+    windows at a time, the chunks through ``ad.map_chunks``, so on several
+    threads at once: windows are independent, so the batch's gradient is
+    the sum of its chunks'. Every chunk takes its gradients in arrays of
+    its own, seeded as the whole batch's loss seeds them; they are summed
+    in chunk order into each parameter's ``grad``. The step's loss is
+    ``mpjpe_loss`` of the batch's predictions, taken once, on the calling
+    thread.
     """
     _require_windows(windows, "train")
     params = model.parameters()
@@ -162,7 +163,7 @@ def train(model, windows, config):
                 total, _ = _error_sum(pred, targets[rows])
                 return pred.values, ad.gradients(ad.mul(total, scale), params)
 
-            preds, grads = zip(*ad.map_chunks(chunk, len(idx)))
+            preds, grads = zip(*ad.map_chunks(chunk, len(idx), model.window_rows))
             value = mpjpe_loss(ad.constant(np.concatenate(preds)), targets).item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
@@ -202,22 +203,23 @@ def evaluate(model, windows, horizons):
 
     Horizons are 1-based frame offsets into the prediction (horizon h is
     predicted frame h). ``model.predict``, a ForecastModel's or a baseline's,
-    runs on ``ad.CHUNK`` windows at a time, the chunks through
-    ``ad.map_chunks``, so on several threads at once; only scored targets
-    are gathered.
+    runs on one chunk of windows at a time, sized by the windows'
+    ``window_rows``, so a ForecastModel's predict runs it as one slice; the
+    chunks go through ``ad.map_chunks``, so on several threads at once.
+    Only scored targets are gathered.
     """
     _require_windows(windows, "evaluate")
-    t = windows.input_frames
+    t, v = windows.input_frames, windows.frames.shape[1]
     check_horizons(horizons, windows.output_frames)
     scored = np.asarray(horizons, dtype=np.intp) - 1
-    errors = np.empty((len(scored), len(windows), windows.frames.shape[1]))
+    errors = np.empty((len(scored), len(windows), v))
 
     def score(rows):                  # each chunk writes its own columns of errors
         preds = model.predict(windows.gather(rows, np.arange(t)))
         diff = preds[:, scored] - windows.gather(rows, t + scored)
         errors[:, rows] = np.linalg.norm(diff, axis=-1).transpose(1, 0, 2)
 
-    ad.map_chunks(score, len(windows))
+    ad.map_chunks(score, len(windows), window_rows(t, windows.output_frames, v))
     return EvalReport(horizons={h: float(row.mean()) for h, row in zip(horizons, errors)})
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from posecast import autodiff as ad
-from posecast.autodiff import CHUNK
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.gradcheck import check_gradients
 from posecast.model import ModelConfig, build_model
@@ -349,10 +348,24 @@ class TestNoGrad:
         model = build_model(skeleton_preset("chain_4"), ModelConfig(
             input_frames=3, output_frames=2, span=1, max_hop=1,
             value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
-        windows = make_windows([synth_kinematic(4, 3 * CHUNK + 4, 8)], 3, 2)
-        assert len(windows) > 2 * CHUNK
+        chunk = ad.chunk_size(model.window_rows)
+        windows = make_windows([synth_kinematic(4, 3 * chunk + 4, 8)], 3, 2)
+        assert len(windows) > 2 * chunk
         evaluate(model, windows, [1, 2])
         assert model.forward(windows.inputs[:2]).predictions._backward is not None
+
+
+@pytest.mark.parametrize("rows, windows", [
+    (20, 64), (36, 32), (80, 16), (220, 8), (550, 2), (2200, 1), (1, 2048), (2048, 1)])
+def test_chunk_size_is_the_largest_power_of_two_that_fits_the_row_budget(rows, windows):
+    assert ad.CHUNK_ROWS == 2048
+    assert ad.chunk_size(rows) == windows
+
+
+def test_map_chunks_slices_by_the_rows_per_item():
+    items = range(19)
+    assert ad.map_chunks(lambda rows: list(items[rows]), 19, 220) == [
+        list(range(0, 8)), list(range(8, 16)), list(range(16, 19))]
 
 
 class TestGraphRelease:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
+from posecast import autodiff as ad
 from posecast import cli, gradcheck
-from posecast.autodiff import CHUNK
 from posecast.data import (load_sequences, make_windows, save_sequences, skeleton_preset,
                            synth_kinematic)
 from posecast.model import (ForecastModel, ModelConfig, build_model, load_checkpoint,
@@ -189,6 +189,11 @@ def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset,
     config["train"]["epochs"] = 1
     config["train"]["lr_decay_epochs"] = []
     path.write_text(yaml.safe_dump(config))
+    # Two sequences of n + 14 frames give 2n + 16 windows: three chunks per cell.
+    n = ad.chunk_size(build_model(skeleton_preset("chain_4"),
+                                  ModelConfig(**config["model"])).window_rows)
+    save_sequences(dataset, [synth_kinematic(4, frames=n + 14, period=6, seed=s)
+                             for s in range(2)])
     predicted = []
     predict = ForecastModel.predict
     monkeypatch.setattr(ForecastModel, "predict",
@@ -197,7 +202,7 @@ def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset,
                      "--horizon", "2"]) == 0
     windows = make_windows(load_sequences(dataset), 4, 3)
     assert sum(predicted) == 2 * len(windows)
-    assert len(predicted) == 2 * -(-len(windows) // CHUNK)
+    assert len(predicted) == 2 * 3 == 2 * -(-len(windows) // n)
     rows = capsys.readouterr().out.splitlines()
     cell = tmp_path / "run" / "L1D0"
     # The report holds the config's horizons only; the printed error is

@@ -14,7 +14,7 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast import model as pm
-from posecast.autodiff import CHUNK, DimensionError
+from posecast.autodiff import DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import (
     HEADER_FIELDS,
@@ -611,7 +611,7 @@ class TestGradientFlow:
         assert self.model.predict(self.x).tobytes() == out.tobytes()
 
     def test_predict_runs_PREDICT_CHUNK_windows_at_a_time(self):
-        n = CHUNK
+        n = ad.chunk_size(self.model.window_rows)
         x = np.random.default_rng(12).normal(size=(2 * n + 5, 3, 4, 3))
         chunks = [self.model.forward(x[i: i + n]).predictions.values for i in (0, n, 2 * n)]
         assert [len(c) for c in chunks] == [n, n, 5]
@@ -680,7 +680,8 @@ class TestChunkPool:
     @pytest.mark.parametrize("skeleton", sorted(BENCHMARK_MODELS))
     def test_parallel_predict_is_bit_identical_to_serial(self, skeleton, openblas, monkeypatch):
         model = benchmark_model(skeleton)
-        x = np.random.default_rng(13).normal(size=(69, 10, model.joint_count, 3))
+        n = ad.chunk_size(model.window_rows)            # 16 on chain_8, 8 on h36m22
+        x = np.random.default_rng(13).normal(size=(4 * n + 5, 10, model.joint_count, 3))
         forward, ran_on = model.forward, []
 
         def spy(chunk):
@@ -690,7 +691,7 @@ class TestChunkPool:
             return out
 
         model.forward = spy
-        parallel = {b: model.predict(x[:b]).tobytes() for b in (1, 15, 16, 17, 69)}
+        parallel = {b: model.predict(x[:b]).tobytes() for b in (1, n - 1, n, n + 1, 4 * n + 5)}
         # Every chunk of a multi-chunk batch ran on a pool thread with OpenBLAS at 1.
         assert len(ran_on) == 1 + 1 + 1 + 2 + 5
         assert ran_on[0][0] is threading.main_thread()
@@ -702,11 +703,12 @@ class TestChunkPool:
     def test_blas_thread_count_restored(self, openblas):
         get, _ = openblas
         model = benchmark_model("chain_8")
+        n = ad.chunk_size(model.window_rows)
         before = get()
-        model.predict(np.zeros((3 * CHUNK, 10, 8, 3)))
+        model.predict(np.zeros((3 * n, 10, 8, 3)))
         assert get() == before
         with pytest.raises(DimensionError, match="does not match"):
-            model.predict(np.zeros((3 * CHUNK, 10, 7, 3)))
+            model.predict(np.zeros((3 * n, 10, 7, 3)))
         assert get() == before
 
     def test_a_raising_chunk_waits_for_the_others(self, openblas):
@@ -716,10 +718,10 @@ class TestChunkPool:
             if rows.start == 0:
                 raise DimensionError("chunk 0")
             time.sleep(0.2)
-            finished.append(rows.start // CHUNK)
+            finished.append(rows.start)
 
         with pytest.raises(DimensionError, match="chunk 0"):
-            ad.map_chunks(chunk, 2 * CHUNK)
+            ad.map_chunks(chunk, 2, ad.CHUNK_ROWS)          # one item per chunk
         assert finished == [1]
         assert openblas[0]() == 2
 
@@ -729,7 +731,7 @@ class TestChunkPool:
         ran = []
 
         def chunk(rows):
-            i = rows.start // CHUNK
+            i = rows.start
             ran.append(i)
             if i == 1:
                 time.sleep(0.2)
@@ -737,12 +739,13 @@ class TestChunkPool:
                 raise DimensionError(f"chunk {i}")
 
         with pytest.raises(DimensionError, match="chunk 1"):
-            ad.map_chunks(chunk, 4 * CHUNK)
+            ad.map_chunks(chunk, 4, ad.CHUNK_ROWS)          # one item per chunk
         assert sorted(ran) == [0, 1, 2, 3]
 
     def test_no_thread_outlives_a_call(self, openblas):
         model = benchmark_model("chain_8")
-        windows = make_windows([synth_kinematic(8, 3 * CHUNK + 19, 8)], 10, 10)
+        n = ad.chunk_size(model.window_rows)
+        windows = make_windows([synth_kinematic(8, 3 * n + 19, 8)], 10, 10)
         forward, ran_on = model.forward, set()
 
         def spy(chunk):
@@ -788,7 +791,7 @@ class TestChunkPool:
             assert held.wait(timeout=30)
             pid = os.fork()
             if pid == 0:
-                ran_on = ad.map_chunks(lambda rows: threading.current_thread(), 2 * ad.CHUNK)
+                ran_on = ad.map_chunks(lambda rows: threading.current_thread(), 2, ad.CHUNK_ROWS)
                 os._exit(0 if threading.main_thread() not in ran_on else 1)
             release.set()
             holder.join(timeout=30)
@@ -804,7 +807,8 @@ class TestChunkPool:
         # the callers that find the pool busy run their chunks serially.
         get, _ = openblas
         model = benchmark_model("chain_8")
-        x = np.random.default_rng(14).normal(size=(2 * CHUNK + 3, 10, 8, 3))
+        n = ad.chunk_size(model.window_rows)
+        x = np.random.default_rng(14).normal(size=(2 * n + 3, 10, 8, 3))
         expected = model.predict(x).tobytes()
         before, results = get(), []
         interval = sys.getswitchinterval()
@@ -841,7 +845,7 @@ class TestChunkPool:
             model = pm.build_model(skeleton_preset("chain_4"), pm.ModelConfig(
                 input_frames=3, output_frames=2, span=1, max_hop=1,
                 value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
-            for b in (0, 1, ad.CHUNK):
+            for b in (0, 1, ad.chunk_size(model.window_rows)):
                 model.predict(np.zeros((b, 3, 4, 3)))
             evaluate(model, make_windows([synth_kinematic(4, 20, 8)], 3, 2), [1, 2])
             assert "concurrent.futures" not in sys.modules

@@ -3,13 +3,14 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from posecast import autodiff as ad
 from posecast import training
-from posecast.autodiff import CHUNK, DimensionError
+from posecast.autodiff import DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import ModelConfig, build_model
 from posecast.training import (
@@ -181,16 +182,18 @@ class TestTrainLoop:
 
 
 class TestChunkedSteps:
-    """Each step runs CHUNK-window micro-batches through map_chunks."""
+    """Each step runs chunk_size(window_rows)-window micro-batches through map_chunks."""
 
     def test_step_loss_is_the_batch_mpjpe_taken_once_on_the_calling_thread(self, monkeypatch):
         # The benchmark reads each step's loss from the last mpjpe_loss
         # return and ends the step on adam_step; both hooks as it sets them.
-        model, windows = tiny_model(seed=2), tiny_windows(n_frames=102, seed=2)
-        config = TrainConfig(epochs=1, batch_size=3 * CHUNK, lr_decay_epochs=(), seed=4)
+        model = tiny_model(seed=2)
+        n = ad.chunk_size(model.window_rows)
+        windows = tiny_windows(n_frames=6 * n + 6, seed=2)
+        config = TrainConfig(epochs=1, batch_size=3 * n, lr_decay_epochs=(), seed=4)
         order = np.random.default_rng(config.seed).permutation(len(windows))
         batches = [order[i: i + config.batch_size] for i in range(0, len(order), config.batch_size)]
-        assert [len(b) for b in batches] == [3 * CHUNK, 3 * CHUNK]
+        assert [len(b) for b in batches] == [3 * n, 3 * n]
         calls, steps = [], []
 
         def capture_loss(fn):
@@ -216,10 +219,12 @@ class TestChunkedSteps:
             assert captured == pytest.approx(pre_step, rel=0, abs=1e-12)
 
     def test_step_gradient_is_the_whole_batch_gradient(self, monkeypatch):
-        model, windows = tiny_model(seed=6), tiny_windows(n_frames=46, seed=6)
+        model = tiny_model(seed=6)
+        n = ad.chunk_size(model.window_rows)
+        windows = tiny_windows(n_frames=2 * n + 14, seed=6)
         config = TrainConfig(epochs=1, batch_size=len(windows), clip_norm=None,
                              lr_decay_epochs=(), seed=0)
-        assert 2 * CHUNK < len(windows) < 3 * CHUNK
+        assert 2 * n < len(windows) < 3 * n
         params = model.parameters()
         mpjpe_loss(model.forward(windows.inputs).predictions, windows.targets).backward()
         expected = [p.grad for p in params]
@@ -232,9 +237,10 @@ class TestChunkedSteps:
 
     def test_trained_parameters_do_not_depend_on_blas_threads(self):
         # Two Adam steps on each benchmark skeleton, at one chunk (B = 7, the
-        # plain loop at the process's BLAS thread count) and at three
-        # (B = 42, pooled). Weight gradients sum fixed blocks of rows in a
-        # fixed order; blocks of 1024 rows already differ at B = 7 here.
+        # plain loop at the process's BLAS thread count) and at several
+        # (B = 42, pooled: three on chain_8, six on h36m22). Weight gradients
+        # sum fixed blocks of rows in a fixed order; blocks of 1024 rows
+        # already differ at B = 7 here.
         child = textwrap.dedent("""
             import hashlib
             from posecast import model as pm
@@ -262,6 +268,33 @@ class TestChunkedSteps:
             assert run.returncode == 0, run.stderr
             digests.append(run.stdout.splitlines())
         assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+    def test_an_h36m22_training_chunk_peaks_under_12_5_mib(self):
+        # The benchmark's h36m22 anchor model, one chunk of the rule's size:
+        # forward, then its gradients. 16-window chunks peaked at 22.3 MiB.
+        model = build_model(skeleton_preset("h36m22"), ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor",
+            refine=True, seed=0))
+        n = ad.chunk_size(model.window_rows)
+        assert n == 8
+        x, y = np.random.default_rng(18).normal(size=(2, n, 10, 22, 3))
+        params = model.parameters()
+
+        def chunk():
+            total, _ = training._error_sum(model.forward(x).predictions, y)
+            return ad.gradients(ad.mul(total, ad.constant(1.0 / (n * 10 * 22))), params)
+
+        chunk()                                         # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = chunk()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(g is not None for g in grads)
+        assert peak < 12.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
@@ -330,6 +363,21 @@ def test_pooled_predict_after_training_reuses_freed_memory():
 
 
 class TestEvaluate:
+    def test_predicts_at_most_one_chunk_at_a_time(self):
+        # A ForecastModel's predict then runs each chunk as one slice; the
+        # copy-last baseline, which has no graph, gets the windows' chunks.
+        model = tiny_model()
+        n = ad.chunk_size(model.window_rows)
+        windows = tiny_windows(n_frames=2 * n + 11)         # 2n + 5 windows
+        forward, forwarded = model.forward, []
+        model.forward = lambda x: forwarded.append(len(x)) or forward(x)
+        for predictor in (model, zero_velocity_baseline(3)):
+            predict, predicted = predictor.predict, []
+            predictor.predict = lambda x: predicted.append(len(x)) or predict(x)
+            evaluate(predictor, windows, [1, 3])
+            assert sorted(predicted) == [5, n, n]
+        assert sorted(forwarded) == [5, n, n]
+
     def test_copy_model_on_constant_data_is_exact(self):
         frames = np.ones((20, 5, 3)) * np.arange(5)[None, :, None]
         from posecast.data import PoseSequence
@@ -367,7 +415,7 @@ class TestEvaluate:
         # More windows than one predict chunk, horizons in any order.
         model = tiny_model()
         windows = make_windows([synth_kinematic(5, 90, 8, seed=s) for s in range(2)], 4, 3)
-        assert len(windows) > 2 * CHUNK
+        assert len(windows) > 2 * ad.chunk_size(model.window_rows)
         preds = model.predict(windows.inputs)
         report = evaluate(model, windows, [3, 1, 2])
         baseline = baseline_report(windows, [2, 3])
