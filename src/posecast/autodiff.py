@@ -18,7 +18,9 @@ for the thread that entered it, and every other thread keeps recording.
 ``map_chunks`` runs a function over chunks of items on threads, each chunk
 as many items as fit in a fixed budget of graph rows.
 
-Broadcasting is supported over leading batch dimensions only.
+Elementwise ops broadcast as numpy does, and each gradient is summed back
+over the leading and size-1 axes its operand was broadcast along; matmul
+broadcasts the batch dimensions ahead of two matrix dimensions.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "Tensor",
     "DimensionError",
     "DegenerateMaskError",
-    "UninitializedGradientError",
     "GraphReleasedError",
     "no_grad",
     "gradients",
@@ -107,10 +108,6 @@ class DegenerateMaskError(ValueError):
     """Raised when a softmax slice has no allowed entry."""
 
 
-class UninitializedGradientError(RuntimeError):
-    """Raised when an optimizer step finds a parameter without a gradient."""
-
-
 class GraphReleasedError(RuntimeError):
     """Raised when backward() reaches a node an earlier backward() released."""
 
@@ -122,13 +119,16 @@ def _released(grad):
     )
 
 
-class _GradMode(threading.local):
-    """Whether ops record, per thread; every thread starts recording."""
+class _ThreadState(threading.local):
+    """Per thread: whether ops record (every thread starts recording), and,
+    while ``gradients`` runs, the parameter -> gradient dict that
+    ``_accumulate`` fills instead of the parameters' ``grad``."""
 
-    enabled = True
+    recording = True
+    grads = None
 
 
-_grad_mode = _GradMode()
+_state = _ThreadState()
 
 
 @contextmanager
@@ -139,21 +139,11 @@ def no_grad():
     nest, and the previous state comes back on exit, also when the block
     raises. Other threads record as before.
     """
-    previous, _grad_mode.enabled = _grad_mode.enabled, False
+    previous, _state.recording = _state.recording, False
     try:
         yield
     finally:
-        _grad_mode.enabled = previous
-
-
-class _GradSink(threading.local):
-    """Per thread: while ``gradients`` runs, the parameter -> gradient
-    dict that ``_accumulate`` fills instead of the parameters' ``grad``."""
-
-    grads = None
-
-
-_grad_sink = _GradSink()
+        _state.recording = previous
 
 
 def gradients(root, params):
@@ -165,11 +155,11 @@ def gradients(root, params):
     no gradient either. The arrays are this call's own, so threads may
     each take gradients through graphs that share parameters.
     """
-    sink = _grad_sink.grads = {}
+    sink = _state.grads = {}
     try:
         root.backward()
     finally:
-        _grad_sink.grads = None
+        _state.grads = None
     return [sink.get(p) for p in params]
 
 
@@ -271,7 +261,8 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def backward(self):
-        """Backpropagate from this tensor, which must be scalar.
+        """Backpropagate from this tensor, which must be scalar, seeding it
+        with ones through ``_accumulate`` as any gradient reaches a tensor.
 
         Each non-leaf node is released once its closure has run: its
         closure, inputs and gradient are dropped, so the graph's memory is
@@ -283,11 +274,7 @@ class Tensor:
                 f"backward() requires a scalar root, got shape {self.values.shape}"
             )
         order = _toposort(self)
-        seed = np.ones_like(self.values)
-        if self.requires_grad and _grad_sink.grads is not None:
-            _grad_sink.grads[self] = seed           # a parameter as its own root
-        else:
-            self.grad = seed
+        _accumulate(self, np.ones_like(self.values), True)
         while order:
             node = order.pop()
             if node._backward is None:
@@ -345,7 +332,7 @@ def _accumulate(tensor, grad, fresh):
     other tensor can hold it and the first gradient may keep it. Anything
     else (the incoming gradient, or a view of it) is copied first.
     """
-    sink = _grad_sink.grads if tensor.requires_grad else None
+    sink = _state.grads if tensor.requires_grad else None
     held = tensor.grad if sink is None else sink.get(tensor)
     if held is not None:
         held += grad
@@ -375,7 +362,7 @@ def _record(out_values, inputs, backward):
     """The op's result: a graph node over ``inputs`` whose closure is
     ``backward``, or a plain tensor under ``no_grad`` or when no input is
     live. Every op records through here."""
-    if _grad_mode.enabled and any(_live(t) for t in inputs):
+    if _state.recording and any(_live(t) for t in inputs):
         return Tensor(out_values, _inputs=inputs, _backward=backward)
     return Tensor(out_values)
 
@@ -707,12 +694,8 @@ class AdamState:
 
 
 def adam_step(params, state, lr):
-    """One in-place Adam update with bias correction. Gradients are left intact."""
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise UninitializedGradientError(
-                f"parameter {i} (shape {p.shape}) has no gradient"
-            )
+    """One in-place Adam update with bias correction, from every
+    parameter's ``grad``. Gradients are left intact."""
     state.step_count += 1
     t = state.step_count
     for i, p in enumerate(params):

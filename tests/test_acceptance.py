@@ -150,6 +150,7 @@ def test_07_receptive_field_is_layers_times_span():
            unaffected and affected)
 
 
+@pytest.mark.slow
 def test_08_training_learns_periodic_motion():
     start = time.time()
     seqs = [synth_kinematic(8, frames=700, period=16, seed=s, amplitude=0.5)

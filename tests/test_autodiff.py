@@ -40,9 +40,24 @@ def test_matmul_gradient_is_ones_times_b_transpose():
     assert err < 1e-6
 
 
+def test_matmul_rejects_a_one_dimensional_operand():
+    with pytest.raises(ad.DimensionError, match=r">=2-d operands.*\(3,\)"):
+        ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))))
+
+
 def test_elementwise_add():
     out = ad.add(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
     assert np.array_equal(out.values, [4.0, 6.0])
+
+
+def test_add_gradient_sums_over_a_size_one_axis():
+    rng = np.random.default_rng(5)
+    p = ad.parameter(rng.normal(size=(1, 5)))
+    weights = rng.normal(size=(4, 5))
+    ad.tensor_sum(ad.mul(ad.add(p, ad.constant(rng.normal(size=(4, 5)))),
+                         ad.constant(weights))).backward()
+    assert p.grad.shape == (1, 5)
+    assert p.grad.tobytes() == weights.sum(axis=0, keepdims=True).tobytes()
 
 
 def test_mul_by_zero_kills_gradient():
@@ -157,6 +172,13 @@ class TestBackward:
         ad.tensor_sum(ad.add(ad.mul(w2, w2), ad.mul(w2, w2))).backward()
         assert np.array_equal(shared_grad, w2.grad)
 
+    def test_parameter_root_adds_its_seed_like_every_leaf(self):
+        p, q = ad.parameter(3.0), ad.parameter(3.0)
+        p.grad, q.grad = np.array(5.0), np.array(5.0)
+        p.backward()
+        ad.tensor_sum(q).backward()
+        assert p.grad == 6.0 and q.grad == 6.0
+
     def test_constant_never_accumulates_gradient(self):
         w = ad.parameter([1.0, 2.0])
         c = ad.constant([3.0, 4.0])
@@ -182,6 +204,8 @@ class TestGradients:
     def test_parameter_as_its_own_root(self):
         p = ad.parameter(3.0)
         assert ad.gradients(p, [p]) == [1.0] and p.grad is None
+        p.grad = held = np.array(5.0)
+        assert ad.gradients(p, [p]) == [1.0] and p.grad is held and held == 5.0
 
     def test_walk_releases_the_graph(self):
         w = ad.parameter([1.0, 2.0])
@@ -245,11 +269,6 @@ class TestAdam:
             ad.adam_step([x], state, lr=0.05)
         assert abs(x.values[0] - 3.0) < 0.01
 
-    def test_missing_gradient_raises(self):
-        p = ad.parameter([1.0])
-        with pytest.raises(ad.UninitializedGradientError):
-            ad.adam_step([p], ad.AdamState([p]), lr=0.1)
-
     def test_gradients_untouched_by_step(self):
         p = ad.parameter([1.0, 2.0])
         p.grad = np.array([0.5, 0.25])
@@ -266,6 +285,15 @@ def test_broadcast_matmul_gradients():
         lambda: ad.tensor_sum(ad.mul(m := ad.matmul(a, h), m)), [a, h]
     )
     assert err < 1e-6
+
+
+def test_check_gradients_leaves_grad_as_it_found_it():
+    rng = np.random.default_rng(6)
+    a, b = ad.parameter(rng.normal(size=(2, 3))), ad.parameter(rng.normal(size=(2, 3)))
+    a.grad = held = np.full((2, 3), 7.0)
+    err = check_gradients(lambda: ad.tensor_sum(ad.mul(m := ad.mul(a, b), m)), [a, b])
+    assert err < 1e-6
+    assert a.grad is held and np.array_equal(held, np.full((2, 3), 7.0)) and b.grad is None
 
 
 def stacked(*weights):

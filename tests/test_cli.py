@@ -76,6 +76,18 @@ class TestTrainCommand:
         assert len(log) == 3
         assert log[2]["lr"] == pytest.approx(0.001)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow it reports
+    def test_non_finite_loss_exits_3(self, run_config, tmp_path, capsys):
+        path, config = run_config
+        seq = synth_kinematic(4, frames=30, period=6, seed=0)
+        seq.frames *= 1e200
+        huge = tmp_path / "huge.mgps"
+        save_sequences(huge, [seq])
+        path.write_text(yaml.safe_dump({**config, "dataset": str(huge)}))
+        assert cli.main(["train", str(path)]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite loss at epoch 0, batch 0;")
+
     def test_missing_dataset_exits_2(self, run_config, tmp_path):
         path, config = run_config
         config["dataset"] = str(tmp_path / "nope.mgps")
