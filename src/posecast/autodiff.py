@@ -16,7 +16,8 @@ second ``backward()`` through it raises ``GraphReleasedError``. Inside
 ``with no_grad():`` operations record nothing at all; the block holds
 for the thread that entered it, and every other thread keeps recording.
 ``map_chunks`` runs a function over chunks of items on threads, each chunk
-as many items as fit in a fixed budget of graph rows.
+as many items as fit in a fixed budget of graph rows. Importing this
+module sets numpy's bundled OpenBLAS to one thread for the whole process.
 
 Elementwise ops broadcast as numpy does, and each gradient is summed back
 over the leading and size-1 axes its operand was broadcast along; matmul
@@ -26,7 +27,6 @@ broadcasts the batch dimensions ahead of two matrix dimensions.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
 import threading
@@ -96,7 +96,29 @@ def _tune_allocator():
                 mallopt(-8, 1 + _usable_cores())])
 
 
+def _pin_openblas():
+    """Set numpy's bundled OpenBLAS to one thread for the whole process;
+    return its thread-count setter, or None where numpy bundles none.
+
+    Chunk threads need the pin, as an idle OpenBLAS worker spins on a core
+    and starves a Python thread beside it; outside the chunks more threads
+    gain little.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    for name in sorted(n for n in names if n.startswith("libscipy_openblas")):
+        try:
+            put = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        put(1)
+        return put
+    return None
+
+
 _allocator_tuned = _tune_allocator()
+_set_blas_threads = _pin_openblas()
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8      # Adam's moment decays and denominator floor
 
 
@@ -178,59 +200,26 @@ def chunk_size(rows):
     return 1 << max(0, (CHUNK_ROWS // rows).bit_length() - 1)
 
 
-_chunk_lock = threading.Lock()      # held by the one map_chunks call that runs threads
-# A forked child holds only the forking thread, so no thread there holds the lock.
-os.register_at_fork(after_in_child=_chunk_lock._at_fork_reinit)
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
-    or None where numpy does not bundle it."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    names = os.listdir(libs) if os.path.isdir(libs) else []
-    for name in sorted(n for n in names if n.startswith("libscipy_openblas")):
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        put.argtypes, put.restype = (ctypes.c_int,), None
-        return get, put
-    return None
-
-
 def map_chunks(fn, n, rows):
     """``fn`` on each ``chunk_size(rows)``-long slice of ``range(n)``, for
     items of ``rows`` graph rows each; the results in order, the calls
     spread over threads, one per usable core.
 
     The threads start in this call and have ended when it returns or
-    raises; a raising call raises once every call has ended. Meanwhile
-    OpenBLAS runs on one thread, its count restored after: an idle
-    OpenBLAS worker spins on a core and starves a Python thread beside it.
-    The plain loop runs instead with one slice, one usable core, no
-    OpenBLAS thread setter, or while another call runs threads. Each call
-    of ``fn`` must write only what no other call reads or writes.
+    raises; a raising call raises once every call has ended. The plain
+    loop runs instead with one slice, one usable core, or where the
+    import could not pin OpenBLAS to one thread: an idle OpenBLAS worker
+    spins on a core and starves a Python thread beside it. Each call of
+    ``fn`` must write only what no other call reads or writes.
     """
     step = chunk_size(rows)
     slices = [slice(i, i + step) for i in range(0, n, step)]
-    blas = _openblas_threads() if len(slices) > 1 and _usable_cores() > 1 else None
-    if blas is None or not _chunk_lock.acquire(blocking=False):
+    if len(slices) < 2 or _usable_cores() < 2 or _set_blas_threads is None:
         return [fn(s) for s in slices]
     import concurrent.futures
 
-    get, put = blas
-    previous = get()
-    try:
-        put(1)
-        with concurrent.futures.ThreadPoolExecutor(_usable_cores(), "posecast-chunk") as pool:
-            futures = [pool.submit(fn, s) for s in slices]
-    finally:                                    # every thread has ended here
-        put(previous)
-        _chunk_lock.release()
+    with concurrent.futures.ThreadPoolExecutor(_usable_cores(), "posecast-chunk") as pool:
+        futures = [pool.submit(fn, s) for s in slices]
     return [f.result() for f in futures]
 
 
@@ -530,10 +519,10 @@ def tail(a, start):
     return _unary(a, a.values[:, start:], grad_of)
 
 
-# Rows per block of a weight gradient's contraction. OpenBLAS sums a longer
-# contraction in another order at two threads than at one (560 rows already
-# differ), so the trained bytes would hang on the BLAS thread count; at 1024
-# they still do, at 512 they did not.
+# Rows per block of a weight gradient's contraction, summed in order, so the
+# block size is part of every trained model's bytes. At two OpenBLAS threads
+# a 512-row block sums as at one, but a block of 385-510 rows need not (a
+# 2-window h36m22 chunk's 440 rows do not): the import pins one thread.
 _ROW_BLOCK = 512
 
 

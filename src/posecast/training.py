@@ -173,8 +173,7 @@ def train(model, windows, config):
                     f"parameter norms {norms}"
                 )
             for p, parts in zip(params, zip(*grads)):      # in chunk order
-                parts = [g for g in parts if g is not None]
-                p.grad = functools.reduce(operator.iadd, parts) if parts else None
+                p.grad = functools.reduce(operator.iadd, parts)
             del preds, grads        # the chunks' arrays, but for p.grad's
             if config.clip_norm is not None:
                 _clip_gradients(params, config.clip_norm)

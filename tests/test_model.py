@@ -661,19 +661,15 @@ def benchmark_model(skeleton):
 
 @pytest.fixture
 def openblas(monkeypatch):
-    """numpy's OpenBLAS (get, set) pair, with map_chunks told there are
-    two usable cores; skips where the setter cannot be found."""
-    threads = ad._openblas_threads()
-    if threads is None:
+    """The OpenBLAS thread-count setter the import pinned the count with,
+    the count back at one after the test, and map_chunks told there are
+    two usable cores; skips where the import found no OpenBLAS to pin, as
+    map_chunks then starts no thread."""
+    if ad._set_blas_threads is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter")
     monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
-    get, put = threads
-    initial = get()
-    put(2)                            # a count the pool must change and restore
-    try:
-        yield threads
-    finally:
-        put(initial)
+    yield ad._set_blas_threads
+    ad._set_blas_threads(1)
 
 
 class TestChunkPool:
@@ -687,29 +683,18 @@ class TestChunkPool:
         def spy(chunk):
             out = forward(chunk)
             assert out.predictions._backward is None        # each chunk under no_grad
-            ran_on.append((threading.current_thread(), openblas[0]()))
+            ran_on.append(threading.current_thread())
             return out
 
         model.forward = spy
         parallel = {b: model.predict(x[:b]).tobytes() for b in (1, n - 1, n, n + 1, 4 * n + 5)}
-        # Every chunk of a multi-chunk batch ran on a pool thread with OpenBLAS at 1.
+        # Every chunk of a multi-chunk batch ran on a pool thread.
         assert len(ran_on) == 1 + 1 + 1 + 2 + 5
-        assert ran_on[0][0] is threading.main_thread()
-        assert all(t is not threading.main_thread() and n == 1 for t, n in ran_on[3:])
+        assert ran_on[0] is threading.main_thread()
+        assert threading.main_thread() not in ran_on[3:]
         monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
         for b, out in parallel.items():
             assert model.predict(x[:b]).tobytes() == out, b
-
-    def test_blas_thread_count_restored(self, openblas):
-        get, _ = openblas
-        model = benchmark_model("chain_8")
-        n = ad.chunk_size(model.window_rows)
-        before = get()
-        model.predict(np.zeros((3 * n, 10, 8, 3)))
-        assert get() == before
-        with pytest.raises(DimensionError, match="does not match"):
-            model.predict(np.zeros((3 * n, 10, 7, 3)))
-        assert get() == before
 
     def test_a_raising_chunk_waits_for_the_others(self, openblas):
         finished = []
@@ -723,7 +708,6 @@ class TestChunkPool:
         with pytest.raises(DimensionError, match="chunk 0"):
             ad.map_chunks(chunk, 2, ad.CHUNK_ROWS)          # one item per chunk
         assert finished == [1]
-        assert openblas[0]() == 2
 
     def test_the_first_raising_slice_raises(self, openblas):
         # Slice 2 raises first, slice 1 later; slice 1's error is raised,
@@ -768,33 +752,19 @@ class TestChunkPool:
             with pytest.raises(DimensionError, match="does not match"):
                 model.predict(np.zeros(shape))
 
-    def test_forked_child_runs_chunks_on_threads_while_parent_holds_the_lock(self):
-        # The child is forked while another thread of the parent holds the
-        # lock; that thread does not exist in the child, so nothing there
-        # ever releases the lock unless the fork resets it.
+    def test_forked_child_runs_chunks_on_threads(self, openblas):
+        # The parent ran chunks on threads before the fork; the child,
+        # which holds only the forking thread, starts threads of its own.
         child = textwrap.dedent("""
-            import os, threading, warnings
+            import os, threading
             from posecast import autodiff as ad
 
-            warnings.simplefilter("ignore", DeprecationWarning)   # fork beside a thread
             ad._usable_cores = lambda: 2
-            ad._openblas_threads = lambda: (lambda: 1, lambda n: None)
-            held, release = threading.Event(), threading.Event()
-
-            def hold():
-                with ad._chunk_lock:
-                    held.set()
-                    release.wait(timeout=30)
-
-            holder = threading.Thread(target=hold)
-            holder.start()
-            assert held.wait(timeout=30)
+            ad.map_chunks(lambda rows: None, 2, ad.CHUNK_ROWS)
             pid = os.fork()
             if pid == 0:
                 ran_on = ad.map_chunks(lambda rows: threading.current_thread(), 2, ad.CHUNK_ROWS)
                 os._exit(0 if threading.main_thread() not in ran_on else 1)
-            release.set()
-            holder.join(timeout=30)
             print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """)
         run = subprocess.run([sys.executable, "-c", child], capture_output=True,
@@ -802,15 +772,14 @@ class TestChunkPool:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "0\n", "the forked child ran its chunks on the calling thread"
 
-    def test_concurrent_callers_agree_and_restore_blas(self, openblas):
+    def test_concurrent_callers_agree(self, openblas):
         # More callers than cores, switching threads every microsecond:
-        # the callers that find the pool busy run their chunks serially.
-        get, _ = openblas
+        # each caller starts threads of its own.
         model = benchmark_model("chain_8")
         n = ad.chunk_size(model.window_rows)
         x = np.random.default_rng(14).normal(size=(2 * n + 3, 10, 8, 3))
         expected = model.predict(x).tobytes()
-        before, results = get(), []
+        results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -824,7 +793,6 @@ class TestChunkPool:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == [expected] * 4
-        assert get() == before
 
     def test_single_chunk_starts_no_thread(self):
         child = textwrap.dedent("""
@@ -836,12 +804,8 @@ class TestChunkPool:
             from posecast.data import make_windows, skeleton_preset, synth_kinematic
             from posecast.training import evaluate
 
-            def lookup():
-                raise AssertionError("looked up the OpenBLAS thread setter")
-
             assert "concurrent.futures" not in sys.modules
             assert threading.active_count() == 1
-            ad._openblas_threads = lookup
             model = pm.build_model(skeleton_preset("chain_4"), pm.ModelConfig(
                 input_frames=3, output_frames=2, span=1, max_hop=1,
                 value_schedule=(3, 4, 3), qk_schedule=(3, 4, 3)))
@@ -855,27 +819,35 @@ class TestChunkPool:
                              text=True, timeout=60, env=child_env())
         assert run.returncode == 0, run.stderr
 
-    def test_forward_bytes_do_not_depend_on_blas_threads(self):
-        # The pool runs OpenBLAS at one thread and the serial loop at its
-        # default count; both must give the same bytes.
-        child = textwrap.dedent("""
-            import hashlib
-            import numpy as np
-            from posecast import autodiff as ad
-            from posecast import model as pm
-            from posecast.data import skeleton_preset
-
-            ad._usable_cores = lambda: 1            # the serial loop
-            model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
-                input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor"))
-            x = np.random.default_rng(15).normal(size=(40, 10, 22, 3))
-            print(hashlib.sha256(model.predict(x).tobytes()).hexdigest())
-        """)
+    def test_forward_bytes_do_not_depend_on_blas_threads(self, openblas, monkeypatch):
+        # The import pins OpenBLAS at one thread, but a caller may raise the
+        # count; the serial loop must give the same bytes at two threads.
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        model = build_model(skeleton_preset("h36m22"), ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor"))
+        x = np.random.default_rng(15).normal(size=(40, 10, 22, 3))
         digests = []
-        for threads in ("1", "2"):
-            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                                 text=True, timeout=120, env=env)
-            assert run.returncode == 0, run.stderr
-            digests.append(run.stdout)
+        for threads in (2, 1):
+            openblas(threads)
+            digests.append(hashlib.sha256(model.predict(x).tobytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_import_pins_openblas_to_one_thread(self):
+        if ad._set_blas_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+        child = textwrap.dedent("""
+            import ctypes, glob, os
+            import numpy as np
+
+            libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+            lib = ctypes.CDLL(sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))[0])
+            get = lib.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = (), ctypes.c_int
+            import posecast
+            print(get())
+        """)
+        env = dict(child_env(), OPENBLAS_NUM_THREADS="2")
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=60, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "1\n"

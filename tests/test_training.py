@@ -236,11 +236,12 @@ class TestChunkedSteps:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_trained_parameters_do_not_depend_on_blas_threads(self):
-        # Two Adam steps on each benchmark skeleton, at one chunk (B = 7, the
-        # plain loop at the process's BLAS thread count) and at several
-        # (B = 42, pooled: three on chain_8, six on h36m22). Weight gradients
-        # sum fixed blocks of rows in a fixed order; blocks of 1024 rows
-        # already differ at B = 7 here.
+        # Two Adam steps on each benchmark skeleton, at one chunk (B = 2 and
+        # B = 7, the plain loop) and at several (B = 42, pooled: three on
+        # chain_8, six on h36m22), in processes started with one and with
+        # two OpenBLAS threads. The import pins one thread: at two, the
+        # 440-row weight-gradient contractions of a 2-window h36m22 chunk
+        # sum in another order.
         child = textwrap.dedent("""
             import hashlib
             from posecast import model as pm
@@ -252,7 +253,7 @@ class TestChunkedSteps:
                     ("chain_8", 8, dict(span=1, max_hop=1, strategy="pseudo_autoregressive"))):
                 seqs = [synth_kinematic(v, 26, period=15, seed=s) for s in range(6)]
                 windows = make_windows(seqs, t_in=10, k_out=10)
-                for b in (7, 42):
+                for b in (2, 7, 42):
                     model = pm.build_model(skeleton_preset(skeleton), pm.ModelConfig(
                         input_frames=10, output_frames=10, seed=0, **kw))
                     train(model, windows[:b], TrainConfig(epochs=2, batch_size=b,
@@ -267,7 +268,25 @@ class TestChunkedSteps:
                                  text=True, timeout=120, env=env)
             assert run.returncode == 0, run.stderr
             digests.append(run.stdout.splitlines())
-        assert len(digests[0]) == 4 and digests[0] == digests[1]
+        assert len(digests[0]) == 6 and digests[0] == digests[1]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("strategy, anchor_count", [
+        ("pseudo_autoregressive", None), ("anchor", None), ("anchor", 2),
+        ("plain", None), ("none", None)])
+    def test_the_loss_reaches_every_parameter(self, strategy, anchor_count, refine):
+        # train sums every parameter's chunk gradients with no check for one
+        # that the loss does not reach.
+        model = build_model(skeleton_preset("chain_4"), ModelConfig(
+            input_frames=3, output_frames=2, span=1, max_hop=1, strategy=strategy,
+            anchor_count=anchor_count, refine=refine, value_schedule=(3, 4, 3),
+            qk_schedule=(3, 4, 3), seed=0))
+        rng = np.random.default_rng(19)
+        x, y = rng.normal(size=(2, 3, 4, 3)), rng.normal(size=(2, 2, 4, 3))
+        params = model.parameters()
+        grads = ad.gradients(mpjpe_loss(model.forward(x).predictions, y), params)
+        for p, g in zip(params, grads, strict=True):
+            assert isinstance(g, np.ndarray) and g.shape == p.shape
 
     def test_an_h36m22_training_chunk_peaks_under_12_5_mib(self):
         # The benchmark's h36m22 anchor model, one chunk of the rule's size:
