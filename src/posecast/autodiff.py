@@ -187,11 +187,14 @@ def gradients(root, params):
 
 # Graph rows per call of map_chunks' fn. A window's augmented graph has
 # max(T, K)*V rows, and a chunk's work and temporaries grow with its rows,
-# not its window count. Within 2,048 rows an h36m22 training chunk (8
-# windows) peaks at 11.2 MiB, every temporary stays under _tune_allocator's
-# 32 MiB mmap threshold, and chain_8 keeps the 16-window chunk: at 8, its
-# per-chunk overhead cost it 7-14% of its training throughput.
-CHUNK_ROWS = 2048
+# not its window count. 1,280 rows are exactly 16 chain_8 windows, so
+# chain_8 keeps the 16-window chunk (at 8, its per-chunk overhead cost it
+# 7-14% of its training throughput), and h36m22 runs 4 windows: such a
+# training chunk peaks at 5.65 MiB, and its widest stacked product,
+# [880, 256] float64 (1.8 MB), fits a 2 MiB per-core L2 (a 2-core Xeon's),
+# where an 8-window chunk's (3.6 MB) does not. At 512 rows h36m22 lost
+# 9-20% of its training throughput.
+CHUNK_ROWS = 1280
 
 
 def chunk_size(rows):
@@ -204,6 +207,10 @@ def map_chunks(fn, n, rows):
     """``fn`` on each ``chunk_size(rows)``-long slice of ``range(n)``, for
     items of ``rows`` graph rows each; the results in order, the calls
     spread over threads, one per usable core.
+
+    A slice's rows fit in CHUNK_ROWS unless one item alone exceeds it; on
+    h36m22 at T = K = 10 that is 4 windows, so each call's widest product
+    fits a 2 MiB per-core L2 and a training chunk's graph stays a few MiB.
 
     The threads start in this call and have ended when it returns or
     raises; a raising call raises once every call has ended. The plain
@@ -270,9 +277,6 @@ class Tensor:
                 continue
             node._backward(node.grad)
             node._backward, node._inputs, node.grad = _released, (), None
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def parameter(values, rng=None, shape=None):

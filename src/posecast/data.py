@@ -156,11 +156,11 @@ class WindowSet:
 
     @property
     def inputs(self):
-        return self.batch(slice(None))[0]
+        return self.gather(slice(None), np.arange(self.input_frames))
 
     @property
     def targets(self):
-        return self.batch(slice(None))[1]
+        return self.gather(slice(None), self.input_frames + np.arange(self.output_frames))
 
 
 def save_sequences(path, sequences):

@@ -220,10 +220,10 @@ class ForecastModel:
         """Forward pass without recording a graph; returns plain arrays.
 
         Runs ``ad.chunk_size(self.window_rows)`` windows at a time, the
-        chunks through ``ad.map_chunks``. The chunk, fixed by T, K and V,
-        keeps every temporary below the 32 MiB up to which ``autodiff`` has
-        the allocator reuse freed memory, and makes the result independent
-        of the core count.
+        chunks through ``ad.map_chunks``: 4 at a time on h36m22 at
+        T = K = 10, whose widest stacked product, [880, 256] float64, then
+        fits a 2 MiB per-core L2. The chunk, fixed by T, K and V, makes the
+        result independent of the core count.
         """
         x = np.asarray(x, dtype=np.float64)
 

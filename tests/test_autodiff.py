@@ -7,7 +7,7 @@ import pytest
 from posecast import autodiff as ad
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.gradcheck import check_gradients
-from posecast.model import ModelConfig, build_model
+from posecast.model import ModelConfig, build_model, window_rows
 from posecast.training import evaluate
 
 
@@ -263,7 +263,7 @@ class TestAdam:
         x = ad.parameter([0.0])
         state = ad.AdamState([x])
         for _ in range(2000):
-            x.zero_grad()
+            x.grad = None
             diff = ad.sub(x, ad.constant([3.0]))
             ad.tensor_sum(ad.mul(diff, diff)).backward()
             ad.adam_step([x], state, lr=0.05)
@@ -384,16 +384,22 @@ class TestNoGrad:
 
 
 @pytest.mark.parametrize("rows, windows", [
-    (20, 64), (36, 32), (80, 16), (220, 8), (550, 2), (2200, 1), (1, 2048), (2048, 1)])
+    (20, 64), (36, 32), (80, 16), (220, 4), (550, 2), (2200, 1), (1, 1024), (1280, 1), (2048, 1),
+    # The acceptance criteria's models: a budget that moves one of these
+    # chunks moves the bytes that criterion trains.
+    pytest.param(window_rows(10, 10, 8), 16, id="criterion8-chain_8"),
+    pytest.param(window_rows(4, 3, 5), 64, id="criterion9-chain_5"),
+    pytest.param(window_rows(6, 6, 6), 32, id="criterion10-chain_6"),
+    pytest.param(window_rows(4, 3, 4), 64, id="criterion11-chain_4")])
 def test_chunk_size_is_the_largest_power_of_two_that_fits_the_row_budget(rows, windows):
-    assert ad.CHUNK_ROWS == 2048
+    assert ad.CHUNK_ROWS == 1280
     assert ad.chunk_size(rows) == windows
 
 
 def test_map_chunks_slices_by_the_rows_per_item():
-    items = range(19)
-    assert ad.map_chunks(lambda rows: list(items[rows]), 19, 220) == [
-        list(range(0, 8)), list(range(8, 16)), list(range(16, 19))]
+    items = range(11)
+    assert ad.map_chunks(lambda rows: list(items[rows]), 11, 220) == [
+        list(range(0, 4)), list(range(4, 8)), list(range(8, 11))]
 
 
 class TestGraphRelease:

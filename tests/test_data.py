@@ -245,6 +245,22 @@ class TestWindowBuffer:
         assert len(windows) == 19_660
         assert peak < 2 * frame_bytes, f"peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("name", ["inputs", "targets"])
+    def test_inputs_and_targets_gather_only_their_own_frames(self, name):
+        # K = T: gathering both halves and dropping one peaked at 2.02x.
+        rng = np.random.default_rng(1)
+        windows = make_windows([PoseSequence(frames=rng.normal(size=(2000, 22, 3)))], 10, 10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = getattr(windows, name)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1981, 10, 22, 3)
+        assert peak < 1.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x its bytes"
+
 
 class TestSyntheticMotion:
     def test_bone_lengths_are_unit(self):

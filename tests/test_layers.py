@@ -190,7 +190,7 @@ class TestFactoredGraphConv:
 
             def grads(out):
                 for p in [h, *layer.weights]:
-                    p.zero_grad()
+                    p.grad = None
                 ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
                 return [p.grad for p in [h, *layer.weights]]
 
@@ -220,7 +220,7 @@ class TestFactoredGraphConv:
 
         def weight_grads(out):
             for w in layer.weights:
-                w.zero_grad()
+                w.grad = None
             ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
             return [w.grad for w in layer.weights]
 
@@ -245,7 +245,7 @@ class TestFactoredGraphConv:
 
         def grads(out):
             for p in [h, *layer.weights]:
-                p.zero_grad()
+                p.grad = None
             ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
             return [p.grad for p in [h, *layer.weights]]
 
@@ -268,7 +268,7 @@ class TestFactoredGraphConv:
             h = ad.parameter(x.copy())
             out = layer.forward(h, g)
             for w in layer.weights:
-                w.zero_grad()
+                w.grad = None
             ad.tensor_sum(ad.mul(out, out)).backward()
             runs.append([out.values.tobytes(), h.grad.tobytes()]
                         + [w.grad.tobytes() for w in layer.weights])
