@@ -16,7 +16,8 @@ second ``backward()`` through it raises ``GraphReleasedError``. Inside
 ``with no_grad():`` operations record nothing at all; the block holds
 for the thread that entered it, and every other thread keeps recording.
 ``map_chunks`` runs a function over chunks of items on threads, each chunk
-as many items as fit in a fixed budget of graph rows. Importing this
+as many items as fit in a fixed budget of graph rows, and hands each
+chunk's result to a fold in chunk order as it finishes. Importing this
 module sets numpy's bundled OpenBLAS to one thread for the whole process.
 
 Elementwise ops broadcast as numpy does, and each gradient is summed back
@@ -203,31 +204,56 @@ def chunk_size(rows):
     return 1 << max(0, (CHUNK_ROWS // rows).bit_length() - 1)
 
 
-def map_chunks(fn, n, rows):
+def map_chunks(fn, n, rows, fold=None):
     """``fn`` on each ``chunk_size(rows)``-long slice of ``range(n)``, for
-    items of ``rows`` graph rows each; the results in order, the calls
-    spread over threads, one per usable core.
+    items of ``rows`` graph rows each, the calls spread over threads, one
+    per usable core; returns None.
+
+    Each call's result goes to ``fold``, if given, in slice order: as soon
+    as its slice and every earlier one have finished, on the thread that
+    finished the last of them, one fold at a time. No result is kept, so
+    a caller that folds, say, gradients holds about one per thread, not
+    one per slice. No slice after a raising one is folded.
 
     A slice's rows fit in CHUNK_ROWS unless one item alone exceeds it; on
     h36m22 at T = K = 10 that is 4 windows, so each call's widest product
     fits a 2 MiB per-core L2 and a training chunk's graph stays a few MiB.
 
     The threads start in this call and have ended when it returns or
-    raises; a raising call raises once every call has ended. The plain
-    loop runs instead with one slice, one usable core, or where the
-    import could not pin OpenBLAS to one thread: an idle OpenBLAS worker
-    spins on a core and starves a Python thread beside it. Each call of
-    ``fn`` must write only what no other call reads or writes.
+    raises; a raising call raises once every call has ended, the lowest
+    raising slice's exception. The plain loop runs instead with one
+    slice, one usable core, or where the import could not pin OpenBLAS
+    to one thread: an idle OpenBLAS worker spins on a core and starves a
+    Python thread beside it. Each call of ``fn`` must write only what no
+    other call reads or writes.
     """
     step = chunk_size(rows)
     slices = [slice(i, i + step) for i in range(0, n, step)]
-    if len(slices) < 2 or _usable_cores() < 2 or _set_blas_threads is None:
-        return [fn(s) for s in slices]
+    cores = _usable_cores() if len(slices) > 1 and _set_blas_threads is not None else 1
+    if cores < 2:
+        for s in slices:
+            result = fn(s)
+            if fold is not None:
+                fold(result)
+        return
     import concurrent.futures
 
-    with concurrent.futures.ThreadPoolExecutor(_usable_cores(), "posecast-chunk") as pool:
-        futures = [pool.submit(fn, s) for s in slices]
-    return [f.result() for f in futures]
+    lock, done, next_fold = threading.Lock(), {}, 0
+
+    def run(i):
+        nonlocal next_fold
+        result = fn(slices[i])
+        if fold is not None:
+            with lock:                  # fold the finished prefix, in order
+                done[i] = result
+                while next_fold in done:
+                    fold(done.pop(next_fold))
+                    next_fold += 1
+
+    with concurrent.futures.ThreadPoolExecutor(cores, "posecast-chunk") as pool:
+        futures = [pool.submit(run, i) for i in range(len(slices))]
+    for f in futures:
+        f.result()
 
 
 class Tensor:

@@ -8,9 +8,7 @@ convention for per-horizon columns), averaged over windows.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -137,10 +135,13 @@ def train(model, windows, config):
     windows at a time, the chunks through ``ad.map_chunks``, so on several
     threads at once: windows are independent, so the batch's gradient is
     the sum of its chunks'. Every chunk takes its gradients in arrays of
-    its own, seeded as the whole batch's loss seeds them; they are summed
-    in chunk order into each parameter's ``grad``. The step's loss is
-    ``mpjpe_loss`` of the batch's predictions, taken once, on the calling
-    thread.
+    its own, seeded as the whole batch's loss seeds them, and writes its
+    rows of the batch's predictions; ``map_chunks`` folds its gradients
+    into each parameter's ``grad`` in chunk order as soon as it and every
+    earlier chunk have finished, so a step holds about two chunks'
+    gradients. The ``grad`` arrays are allocated once, before the first
+    step, and every step reuses them. The step's loss is ``mpjpe_loss``
+    of the batch's predictions, taken once, on the calling thread.
     """
     _require_windows(windows, "train")
     params = model.parameters()
@@ -148,6 +149,7 @@ def train(model, windows, config):
     rng = np.random.default_rng(config.seed)
     lr = config.lr_initial
     log = []
+    sums = [np.empty_like(p.values) for p in params]       # every step's p.grad
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= config.lr_decay_factor
@@ -157,14 +159,24 @@ def train(model, windows, config):
             idx = order[start: start + config.batch_size]
             inputs, targets = windows.batch(idx)
             scale = ad.constant(1.0 / math.prod(targets.shape[:-1]))    # 1 / (B*K*V)
+            preds = np.empty(targets.shape)
 
-            def chunk(rows):
+            def chunk(rows):            # each chunk writes its own rows of preds
                 pred = model.forward(inputs[rows]).predictions
+                preds[rows] = pred.values
                 total, _ = _error_sum(pred, targets[rows])
-                return pred.values, ad.gradients(ad.mul(total, scale), params)
+                return rows.start, ad.gradients(ad.mul(total, scale), params)
 
-            preds, grads = zip(*ad.map_chunks(chunk, len(idx), model.window_rows))
-            value = mpjpe_loss(ad.constant(np.concatenate(preds)), targets).item()
+            def fold(result):           # in chunk order: chunk 0's copied, the rest added
+                offset, grads = result
+                for total, g in zip(sums, grads):
+                    if offset == 0:
+                        np.copyto(total, g)
+                    else:
+                        total += g
+
+            ad.map_chunks(chunk, len(idx), model.window_rows, fold)
+            value = mpjpe_loss(ad.constant(preds), targets).item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
                                   for name, p in model.params.items())
@@ -172,9 +184,8 @@ def train(model, windows, config):
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"
                 )
-            for p, parts in zip(params, zip(*grads)):      # in chunk order
-                p.grad = functools.reduce(operator.iadd, parts)
-            del preds, grads        # the chunks' arrays, but for p.grad's
+            for p, total in zip(params, sums):
+                p.grad = total
             if config.clip_norm is not None:
                 _clip_gradients(params, config.clip_norm)
             adam_step(params, state, lr)

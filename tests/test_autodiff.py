@@ -397,9 +397,9 @@ def test_chunk_size_is_the_largest_power_of_two_that_fits_the_row_budget(rows, w
 
 
 def test_map_chunks_slices_by_the_rows_per_item():
-    items = range(11)
-    assert ad.map_chunks(lambda rows: list(items[rows]), 11, 220) == [
-        list(range(0, 4)), list(range(4, 8)), list(range(8, 11))]
+    items, folded = range(11), []
+    assert ad.map_chunks(lambda rows: list(items[rows]), 11, 220, folded.append) is None
+    assert folded == [list(range(0, 4)), list(range(4, 8)), list(range(8, 11))]
 
 
 class TestGraphRelease:

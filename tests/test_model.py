@@ -727,6 +727,49 @@ class TestChunkPool:
             ad.map_chunks(chunk, 4, ad.CHUNK_ROWS)          # one item per chunk
         assert sorted(ran) == [0, 1, 2, 3]
 
+    def test_fold_sees_the_slices_in_order_on_the_chunk_threads(self, openblas):
+        folded = []
+
+        def chunk(rows):
+            if rows.start == 0:
+                time.sleep(0.2)                             # slices 1-3 finish first
+            return rows.start
+
+        def fold(result):
+            folded.append((result, threading.current_thread()))
+
+        ad.map_chunks(chunk, 4, ad.CHUNK_ROWS, fold)        # one item per chunk
+        assert [i for i, _ in folded] == [0, 1, 2, 3]
+        assert threading.main_thread() not in [t for _, t in folded]
+
+    def test_fold_loses_no_slice_under_thread_switching(self, openblas, monkeypatch):
+        # More threads than cores, switching every microsecond: every
+        # slice is folded once, in order.
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
+        folded = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ad.map_chunks(lambda rows: rows.start, 200, ad.CHUNK_ROWS, folded.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert folded == list(range(200))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_no_slice_after_a_raising_one_is_folded(self, openblas, monkeypatch, cores):
+        monkeypatch.setattr(ad, "_usable_cores", lambda: cores)
+        folded = []
+
+        def chunk(rows):
+            if rows.start == 1:
+                time.sleep(0.2)                             # slices 2 and 3 finish first
+                raise DimensionError("chunk 1")
+            return rows.start
+
+        with pytest.raises(DimensionError, match="chunk 1"):
+            ad.map_chunks(chunk, 4, ad.CHUNK_ROWS, folded.append)
+        assert folded == [0]
+
     def test_no_thread_outlives_a_call(self, openblas):
         model = benchmark_model("chain_8")
         n = ad.chunk_size(model.window_rows)
@@ -764,7 +807,9 @@ class TestChunkPool:
             ad.map_chunks(lambda rows: None, 2, ad.CHUNK_ROWS)
             pid = os.fork()
             if pid == 0:
-                ran_on = ad.map_chunks(lambda rows: threading.current_thread(), 2, ad.CHUNK_ROWS)
+                ran_on = []
+                ad.map_chunks(lambda rows: threading.current_thread(), 2, ad.CHUNK_ROWS,
+                              ran_on.append)
                 os._exit(0 if threading.main_thread() not in ran_on else 1)
             print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """)

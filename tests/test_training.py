@@ -10,7 +10,7 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast import training
-from posecast.autodiff import DimensionError
+from posecast.autodiff import DimensionError, adam_step
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import ModelConfig, build_model
 from posecast.training import (
@@ -219,21 +219,65 @@ class TestChunkedSteps:
             assert captured == pytest.approx(pre_step, rel=0, abs=1e-12)
 
     def test_step_gradient_is_the_whole_batch_gradient(self, monkeypatch):
+        # Two steps: the second folds its chunks into the first step's arrays.
         model = tiny_model(seed=6)
         n = ad.chunk_size(model.window_rows)
         windows = tiny_windows(n_frames=2 * n + 14, seed=6)
-        config = TrainConfig(epochs=1, batch_size=len(windows), clip_norm=None,
+        config = TrainConfig(epochs=2, batch_size=len(windows), clip_norm=None,
                              lr_decay_epochs=(), seed=0)
         assert 2 * n < len(windows) < 3 * n
         params = model.parameters()
-        mpjpe_loss(model.forward(windows.inputs).predictions, windows.targets).backward()
-        expected = [p.grad for p in params]
-        seen = []
-        monkeypatch.setattr(training, "adam_step",
-                            lambda ps, state, lr: seen.append([p.grad for p in ps]))
+        arrays, seen, expected = [], [], []
+
+        def step(ps, state, lr):
+            arrays.append([p.grad for p in ps])
+            seen.append([p.grad.copy() for p in ps])
+            expected.append(ad.gradients(
+                mpjpe_loss(model.forward(windows.inputs).predictions, windows.targets), ps))
+            adam_step(ps, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", step)
         train(model, windows, config)
-        for got, want in zip(seen[0], expected, strict=True):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(seen) == 2
+        for first, second in zip(*arrays, strict=True):
+            assert second is first
+        for got_step, want_step in zip(seen, expected):
+            for got, want in zip(got_step, want_step, strict=True):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_a_step_holds_about_two_chunks_gradients(self, monkeypatch):
+        # The benchmark's h36m22 anchor model, one step of 4 chunks and one
+        # of 16, on the plain loop so the peaks do not hang on thread
+        # timing. Each chunk's gradient set (60,388 floats, 483 KB) is
+        # folded as it finishes; kept until the step's end, the 12 more
+        # sets took the 16-chunk peak 13.8 sets above the 4-chunk one.
+        # The step's own inputs, targets and predictions grow with the
+        # batch, by 1.57 sets here.
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        model = build_model(skeleton_preset("h36m22"), ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor",
+            refine=True, seed=0))
+        n = ad.chunk_size(model.window_rows)
+        windows = make_windows([synth_kinematic(22, 16 * n + 19, period=15, seed=0)], 10, 10)
+        grad_set = sum(p.values.nbytes for p in model.parameters())
+        assert (n, len(windows), grad_set) == (4, 16 * n, 60_388 * 8)
+
+        def step_peak(chunks):
+            w = windows[:chunks * n]
+            config = TrainConfig(epochs=1, batch_size=len(w), lr_decay_epochs=())
+            train(model, w, config)                 # warm-up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train(model, w, config)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        batch_arrays = 3 * 12 * n * (10 * 22 * 3 * 8)     # inputs, targets, preds
+        grown = step_peak(16) - step_peak(4) - batch_arrays
+        assert grown < grad_set, f"{grown / grad_set:.2f} gradient sets more"
 
     def test_trained_parameters_do_not_depend_on_blas_threads(self):
         # Two Adam steps on each benchmark skeleton, at one chunk (B = 2, the
