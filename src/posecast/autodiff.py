@@ -59,8 +59,9 @@ __all__ = [
     "reshape",
     "transpose",
     "tail",
+    "weight_layout",
+    "hop_views",
     "graph_conv",
-    "stack_weights",
     "AdamState",
     "adam_step",
 ]
@@ -305,17 +306,8 @@ class Tensor:
             node._backward, node._inputs, node.grad = _released, (), None
 
 
-def parameter(values, rng=None, shape=None):
-    """A learnable tensor: either wrap explicit values or draw them.
-
-    With ``rng`` and ``shape`` given, draws uniform Glorot initialization
-    in [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))] using the
-    trailing two dims as (fan_in, fan_out).
-    """
-    if values is None:
-        fan_in, fan_out = shape[-2], shape[-1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        values = rng.uniform(-bound, bound, size=shape)
+def parameter(values):
+    """A learnable tensor over ``values``; a float64 array is kept, not copied."""
     return Tensor(values, requires_grad=True)
 
 
@@ -550,10 +542,13 @@ def tail(a, start):
 
 
 # Rows per block of a weight gradient's contraction, summed in order, so the
-# block size is part of every trained model's bytes. At two OpenBLAS threads
-# a 512-row block sums as at one, but a block of 385-510 rows need not (a
-# 2-window h36m22 chunk's 440 rows do not): the import pins one thread.
-_ROW_BLOCK = 512
+# block size is part of every trained model's bytes. 1,024 is the smallest
+# power of two above a 4-window h36m22 chunk's 880 rows, so such a chunk's
+# weight gradient is one product and z is formed once, over 4 windows. It
+# also bounds the peak of an unchunked 32-window layer's backward: with no
+# blocks the 32->64 h36m22 layer read 8.59 MiB and with 1,280-row blocks
+# 1.94 MiB, against the 1.72 MiB its memory test allows.
+_ROW_BLOCK = 1024
 
 
 def _row_block_product(rows, g):
@@ -571,82 +566,70 @@ def _apply_band(band, x):
     return (band @ x.reshape(b, t, v * c)).reshape(b, t, v, c)
 
 
-def _stack_layout(k_count, c_in, c_out):
-    """A layer's weight stack: [D+1, C_in, C_out] if it widens, else [C_in, D+1, C_out]."""
+def weight_layout(k_count, c_in, c_out):
+    """The shape of a layer's weight for graph_conv, D+1 = ``k_count`` hop
+    weights [C_in, C_out] in one array: [D+1, C_in, C_out] if the layer
+    widens (C_in < C_out), else [C_in, D+1, C_out]. Either way both of
+    graph_conv's weight products take it by a reshape."""
     return (k_count, c_in, c_out) if c_in < c_out else (c_in, k_count, c_out)
 
 
-def stack_weights(weights):
-    """Copy one layer's D+1 weights [C_in, C_out] into one new array, the
-    stack graph_conv multiplies by, and make each tensor's values a view of
-    its slice. ``_stack_layout`` makes both weight products reshapes of it.
-    In-place writes to the tensors (an Adam step, loading a checkpoint) are
-    then writes to the stack."""
-    c_in, c_out = weights[0].shape
-    if any(w.shape != (c_in, c_out) for w in weights):
-        raise DimensionError(f"a layer's weights must share one shape, got "
-                             f"{[w.shape for w in weights]}")
-    stack = np.empty(_stack_layout(len(weights), c_in, c_out))
-    for w, view in zip(weights, stack if c_in < c_out else stack.swapaxes(0, 1)):
-        view[...] = w.values
-        w.values = view
+def hop_views(stack, c_in, c_out):
+    """The D+1 [C_in, C_out] views of ``stack``, an array in
+    ``weight_layout``: hop k's weight, or its gradient."""
+    return list(stack if c_in < c_out else stack.swapaxes(0, 1))
 
 
-def graph_conv(h, weights, band, hop_stack, activation=False):
-    """Graph convolution sum_k kron(band, hops[k]) @ h @ weights[k] on
-    poses, then tanh if ``activation`` is set: h [..., T, V, C_in] ->
-    [..., T, V, C_out].
+def graph_conv(h, weight, band, hop_stack, activation=False):
+    """Graph convolution sum_k kron(band, hops[k]) @ h @ W_k on poses, then
+    tanh if ``activation`` is set: h [..., T, V, C_in] -> [..., T, V, C_out].
 
-    weights: D+1 tensors [C_in, C_out] whose values are the slices of one
-    stack, as ``stack_weights`` leaves them (found as their ``.base``);
-    band: [T, T]; hop_stack: [V*(D+1), V] with row v*(D+1) + k equal to
-    row v of hops[k]. The band and every hop must be symmetric, as
-    ``graphs.normalize`` makes them: hop_stack then also stacks the
-    transposed hops (row j*(D+1) + k is column j of hops[k]), and band
-    serves as its own transpose. The (VT)^2 operators are never formed:
-    the band acts on the frame axis and the hops on the joint axis.
+    weight: the D+1 hop weights W_k [C_in, C_out] as one tensor in
+    ``weight_layout``; band: [T, T]; hop_stack: [V*(D+1), V] with row
+    v*(D+1) + k equal to row v of hops[k]. The band and every hop must be
+    symmetric, as ``graphs.normalize`` makes them: hop_stack then also
+    stacks the transposed hops (row j*(D+1) + k is column j of hops[k]),
+    and band serves as its own transpose. The (VT)^2 operators are never
+    formed: the band acts on the frame axis and the hops on the joint axis.
 
     The band and the hops act on different axes, so they commute; each
     runs on the narrower channel side, all hops in one stacked product.
     When C_in < C_out the band acts on h, then the hops, giving
-    z = [B*T*V, (D+1)*C_in], and one product with the stacked weights
-    writes the output. z is not kept: it is D+1 times as wide as h, which
-    the graph holds anyway, and the weight gradient forms z again, block
-    by block of rows, from the windows of h that hold the block, with the
-    same two products, so the same bytes. Backward takes the input
-    gradient back through the weights and the transposed hops, and
-    applies the transposed band last, C_in wide. Otherwise one product
-    h @ [W_0 ... W_D] comes first, then the stacked hops, and the band is
-    applied once, to the sum; backward applies the transposed band first,
-    then all hops stacked. Either way each gradient takes one weight
-    product, and a weight gradient's contraction over the B*T*V rows is
-    summed over fixed blocks of rows, in order (``_row_block_product``).
+    z = [B*T*V, (D+1)*C_in], and one product with the weight writes the
+    output. z is not kept: it is D+1 times as wide as h, which the graph
+    holds anyway, and the weight gradient forms z again, block by block of
+    rows, from the windows of h that hold the block, with the same two
+    products, so the same bytes. Backward takes the input gradient back
+    through the weight and the transposed hops, and applies the transposed
+    band last, C_in wide. Otherwise one product h @ [W_0 ... W_D] comes
+    first, then the stacked hops, and the band is applied once, to the
+    sum; backward applies the transposed band first, then all hops
+    stacked. Either way each gradient takes one weight product, and the
+    weight gradient, one array in the weight's layout, sums its
+    contraction over the B*T*V rows over fixed blocks of rows, in order
+    (``_row_block_product``).
 
     tanh runs in place on the output, and backward multiplies the
     incoming gradient in place by its derivative 1 - y^2, formed from that
     output, so neither a pre-activation nor a derivative array is kept.
     """
     t, v = band.shape[0], hop_stack.shape[-1]
-    k_count = len(weights)
+    k_count = hop_stack.shape[0] // max(v, 1)
     if band.shape != (t, t) or hop_stack.shape != (k_count * v, v):
         raise DimensionError(
-            f"graph_conv needs a square band and {k_count} stacked [V, V] hops, "
+            f"graph_conv needs a square band and stacked [V, V] hops, "
             f"got {band.shape} and {hop_stack.shape}"
         )
     if h.values.shape[-3:-1] != (t, v):
         raise DimensionError(f"graph has T={t} frames of V={v} joints, input is {h.shape}")
     lead, c_in, n = h.values.shape[:-3], h.values.shape[-1], t * v
-    c_w, c_out = weights[0].shape
-    if c_w != c_in:
-        raise DimensionError(f"weights expect {c_w} channels, input has {c_in}")
+    stack = weight.values
+    c_out = stack.shape[-1] if stack.ndim else 0
+    layout = weight_layout(k_count, c_in, c_out)
+    if stack.shape != layout:
+        raise DimensionError(f"graph_conv weight has shape {stack.shape}; {k_count} hops "
+                             f"from {c_in} to {c_out} channels need {layout}")
     hops_first = c_in < c_out
-    layout = _stack_layout(k_count, c_in, c_out)
-    stack = weights[0].values.base
-    if stack is None or stack.shape != layout or any(w.values.base is not stack for w in weights):
-        raise ValueError(
-            f"graph_conv weights must be the slices of one {layout} stack; "
-            "build it with stack_weights"
-        )
     x = h.values.reshape(-1, t, v, c_in)
     b = x.shape[0]
 
@@ -670,13 +653,13 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
         np.tanh(out_values, out=out_values)
 
     def backward(grad):
-        h_live, w_live = _live(h), any(_live(w_k) for w_k in weights)
+        h_live, w_live = _live(h), _live(weight)
         if activation:
             grad = _tanh_grad(out_values, grad)
         if hops_first:
             g = grad.reshape(b * n, c_out)
             if w_live:
-                dw = _row_block_product(z_rows, g).reshape(k_count, c_in, c_out)
+                dw = _row_block_product(z_rows, g)
             if h_live:
                 dz = (g @ w_cat.T).reshape(b, t, v * k_count, c_in)
                 dx = hop_stack.T @ dz
@@ -689,18 +672,14 @@ def graph_conv(h, weights, band, hop_stack, activation=False):
             if w_live:
                 x_rows = x.reshape(b * n, c_in)
                 dw = _row_block_product(lambda i, j: x_rows[i:j], dp)
-                dw = dw.reshape(c_in, k_count, c_out)
-                dw = dw.transpose(1, 0, 2)
             if h_live:
                 dx = dp @ w_cat.T
         if h_live:
             _accumulate(h, dx.reshape(h.values.shape), True)
         if w_live:
-            for w_k, dw_k in zip(weights, dw):
-                if _live(w_k):
-                    _accumulate(w_k, dw_k, False)
+            _accumulate(weight, dw.reshape(layout), True)
 
-    return _record(out_values, (h, *weights), backward)
+    return _record(out_values, (h, weight), backward)
 
 
 class AdamState:

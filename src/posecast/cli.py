@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import yaml
 
 from . import data as data_io
@@ -153,18 +154,22 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    """Forecast from the last T frames of every record at least T long, all
+    in one ``model.predict`` call, so its chunks run on every core."""
     model = load_checkpoint(args.checkpoint)
-    t = model.config.input_frames
-    outputs, skipped = [], []
+    t, v = model.config.input_frames, model.joint_count
+    kept, skipped = [], []
     for seq in data_io.load_sequences(args.dataset):
         if len(seq) < t:
             skipped.append(repr(seq.label))
-            continue
-        try:
-            pred = model.predict(seq.frames[-t:][None])[0]
-        except DimensionError as exc:
-            raise DimensionError(f"dataset {args.dataset}, record {seq.label!r}: {exc}") from exc
-        outputs.append(data_io.PoseSequence(frames=pred, rate=seq.rate, label=seq.label))
+        elif seq.joint_count != v:
+            raise DimensionError(f"dataset {args.dataset}, record {seq.label!r}: "
+                                 f"{seq.joint_count} joints, the model has V={v}")
+        else:
+            kept.append(seq)
+    x = np.array([seq.frames[-t:] for seq in kept]).reshape(-1, t, v, 3)   # [0, T, V, 3] if none
+    outputs = [data_io.PoseSequence(frames=pred, rate=seq.rate, label=seq.label)
+               for seq, pred in zip(kept, model.predict(x))]
     data_io.save_sequences(args.out, outputs)
     note = f"; skipped {len(skipped)} shorter than T={t}: {', '.join(skipped)}" if skipped else ""
     print(f"wrote {len(outputs)} predicted sequences to {args.out}{note}")

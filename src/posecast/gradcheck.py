@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import skeleton_preset, synth_kinematic, make_windows
 from .graphs import build_hop_partition, build_multigraph
+from .layers import GraphConvLayer
 from .model import ModelConfig, build_model
 from .training import mpjpe_loss
 
@@ -35,8 +36,6 @@ def finite_difference(fn, params, h=STEP):
     """Central-difference gradients of scalar fn() w.r.t. each parameter."""
     grads = []
     for p in params:
-        # Index p.values itself: a layer's weights are strided views of its
-        # stack, which a flattened copy would not write through.
         g = np.zeros_like(p.values)
         for i in np.ndindex(p.values.shape):
             orig = p.values[i]
@@ -126,7 +125,7 @@ def _check_graph_conv():
     # chain_4 with D=3: only the end joints have a 3-hop neighbour, so
     # hops[3] has zero rows. span >= T fills every band entry; span=1 over
     # three frames leaves the outer corners of the band zero. 3 -> 4 runs
-    # hops first on a [D+1, C_in, C_out] stack, 4 -> 3 weights first on a
+    # hops first on a [D+1, C_in, C_out] weight, 4 -> 3 weights first on a
     # [C_in, D+1, C_out] one.
     rng = _rng()
     partition = build_hop_partition(skeleton_preset("chain_4"), max_hop=3)
@@ -135,14 +134,14 @@ def _check_graph_conv():
         graph = build_multigraph(partition, frame_count=frame_count, span=span)
         for c_in, c_out in ((3, 4), (4, 3)):
             h = ad.parameter(rng.normal(size=(2, frame_count, 4, c_in)))
-            weights = [ad.parameter(rng.normal(size=(c_in, c_out))) for _ in range(4)]
-            ad.stack_weights(weights)
+            hops = [rng.normal(size=(c_in, c_out)) for _ in range(4)]
+            weight = GraphConvLayer(hops, activation=False).weight
             for activation in (False, True):
                 err = check_gradients(
                     lambda: ad.tensor_sum(ad.mul(
-                        o := ad.graph_conv(h, weights, graph.band, graph.hop_stack, activation),
+                        o := ad.graph_conv(h, weight, graph.band, graph.hop_stack, activation),
                         o)),
-                    [h, *weights],
+                    [h, weight],
                 )
                 worst = max(worst, err)
     return worst

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 from .data import Reader
 from .graphs import SkeletonGraph, build_hop_partition, build_multigraph, check_max_hop
-from .layers import GraphConvTower
+from .layers import GraphConvTower, glorot
 
 __all__ = [
     "ModelConfig",
@@ -147,24 +147,30 @@ class ForecastModel:
             raise ValueError(f"cannot allocate the graphs of V={skeleton.joint_count}, T={t}, "
                              f"K={k}, max_hop={config.max_hop}: {exc}") from exc
 
-        # Weights take Glorot draws in table order; tcn rows start as the
-        # temporal mean, so each output frame is initially a row-stochastic
-        # smoothing of the intermediate frames.
+        # Hop weights take Glorot draws in table order, layer by layer; tcn
+        # rows start as the temporal mean, so each output frame is
+        # initially a row-stochastic smoothing of the intermediate frames.
+        # The layer tensors and tcn are the trainable parameters, in
+        # checkpoint order; each named block is a view of one of them.
         rng = np.random.default_rng(config.seed)
-        self.params = {
-            name: ad.parameter(np.full(shape, 1.0 / t) if name == "tcn" else None,
-                               rng=rng, shape=shape)
-            for name, shape in parameter_shapes(config)
-        }
-        self.tcn = self.params["tcn"]
-        for tower in ("v_tower", "q_tower", "k_tower", "refine_tower"):
-            weights = [p for name, p in self.params.items() if name.startswith(tower + ".")]
-            setattr(self, tower, GraphConvTower(weights, config.max_hop + 1) if weights else None)
+        self.tcn = ad.parameter(np.full((k, t), 1.0 / t))
+        self.v_tower = self.q_tower = self.k_tower = self.refine_tower = None
+        self._parameters, blocks = [], []
+        for part, schedule in _layout(config):
+            if schedule is None:
+                self._parameters.append(self.tcn)
+                blocks.append(self.tcn.values)
+                continue
+            hops = [glorot(rng, shape) for _, shape in _tower_shapes(part, schedule, config.max_hop)]
+            tower = GraphConvTower(hops, config.max_hop + 1)
+            setattr(self, part, tower)
+            self._parameters += [layer.weight for layer in tower.layers]
+            blocks += [hop for layer in tower.layers for hop in layer.hops]
+        self.params = dict(zip((name for name, _ in parameter_shapes(config)), blocks))
         if config.refine:
             # Drawn last, so zeroing its final layer changes no other draw;
             # the refinement then starts as the identity.
-            for w in self.refine_tower.layers[-1].weights:
-                w.values[...] = 0.0
+            self.refine_tower.layers[-1].weight.values[...] = 0.0
 
     @property
     def joint_count(self):
@@ -176,7 +182,10 @@ class ForecastModel:
                            self.joint_count)
 
     def parameters(self):
-        return list(self.params.values())
+        """The trainable tensors in checkpoint order: one per graph-conv
+        layer, its D+1 hop weights in ``autodiff.weight_layout``, and tcn.
+        ``params`` maps each checkpoint block's name to its view of one."""
+        return list(self._parameters)
 
     def count_parameters(self):
         return sum(p.values.size for p in self.parameters())
@@ -264,19 +273,29 @@ def temporal_align(z, tcn):
     return ad.reshape(out, (b, tcn.shape[0], v, c))
 
 
+def _layout(config):
+    """The model's parts in checkpoint order: (tower, schedule) for each
+    tower, and ("tcn", None)."""
+    yield "v_tower", config.value_schedule
+    if config.strategy in ("anchor", "plain"):
+        yield "q_tower", config.qk_schedule
+        yield "k_tower", config.qk_schedule
+    yield "tcn", None
+    if config.refine:
+        yield "refine_tower", config.value_schedule
+
+
 def parameter_shapes(config):
-    """Yield (name, shape) of every parameter, in checkpoint order.
+    """Yield (name, shape) of every checkpoint block, in checkpoint order.
 
     Towers hold D+1 weights per layer, one per hop partition, numbered
     layer by layer. Lazy, since the length grows with max_hop.
     """
-    yield from _tower_shapes("v_tower", config.value_schedule, config.max_hop)
-    if config.strategy in ("anchor", "plain"):
-        yield from _tower_shapes("q_tower", config.qk_schedule, config.max_hop)
-        yield from _tower_shapes("k_tower", config.qk_schedule, config.max_hop)
-    yield "tcn", (config.output_frames, config.input_frames)
-    if config.refine:
-        yield from _tower_shapes("refine_tower", config.value_schedule, config.max_hop)
+    for part, schedule in _layout(config):
+        if schedule is None:
+            yield "tcn", (config.output_frames, config.input_frames)
+        else:
+            yield from _tower_shapes(part, schedule, config.max_hop)
 
 
 def _tower_shapes(tower, schedule, max_hop):
@@ -318,10 +337,10 @@ def save_checkpoint(path, model):
         for a, b in edges:
             f.write(struct.pack("<II", a, b))
         f.write(struct.pack("<I", len(model.params)))
-        for name, tensor in model.params.items():
+        for name, block in model.params.items():
             f.write(_pack_field("s", name))
-            f.write(_pack_field("I*", tensor.values.shape))
-            f.write(tensor.values.astype("<f8").tobytes())
+            f.write(_pack_field("I*", block.shape))
+            f.write(block.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -374,14 +393,14 @@ def load_checkpoint(path):
         start = r.offset
         name = r.text("parameter name", "ascii")
         shape = _read_field(r, "I*", name)
-        tensor = blocks.pop(name, None)
-        if tensor is None:
+        block = blocks.pop(name, None)
+        if block is None:
             raise ValueError(f"unexpected or repeated parameter block {name!r} at byte {start}")
-        if tensor.values.shape != shape:
+        if block.shape != shape:
             raise ValueError(
                 f"parameter {name!r} at byte {start} has shape {shape}, "
-                f"model expects {tensor.values.shape}"
+                f"model expects {block.shape}"
             )
-        tensor.values[...] = r.floats(shape, name)
+        block[...] = r.floats(shape, name)
     r.finish()
     return model

@@ -178,8 +178,8 @@ def train(model, windows, config):
             ad.map_chunks(chunk, len(idx), model.window_rows, fold)
             value = mpjpe_loss(ad.constant(preds), targets).item()
             if not np.isfinite(value):
-                norms = ", ".join(f"{name}={np.linalg.norm(p.values):.6g}"
-                                  for name, p in model.params.items())
+                norms = ", ".join(f"{name}={np.linalg.norm(block):.6g}"
+                                  for name, block in model.params.items())
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"

@@ -296,12 +296,6 @@ def test_check_gradients_leaves_grad_as_it_found_it():
     assert a.grad is held and np.array_equal(held, np.full((2, 3), 7.0)) and b.grad is None
 
 
-def stacked(*weights):
-    """The weights, moved into one stack as a graph-conv layer holds them."""
-    ad.stack_weights(weights)
-    return list(weights)
-
-
 ALL_OPS = [
     lambda a: ad.matmul(a, a),
     lambda a: ad.add(a, a),
@@ -315,7 +309,10 @@ ALL_OPS = [
     lambda a: ad.reshape(a, (4,)),
     lambda a: ad.transpose(a, (1, 0)),
     lambda a: ad.tail(a, 1),
-    lambda a: ad.graph_conv(ad.reshape(a, (2, 1, 2)), stacked(a), np.eye(2), np.ones((1, 1))),
+    # One hop of 2 -> 2 channels: input and weight [C_in, D+1, C_out] are
+    # reshapes of a.
+    lambda a: ad.graph_conv(ad.reshape(a, (2, 1, 2)), ad.reshape(a, (2, 1, 2)), np.eye(2),
+                            np.ones((1, 1))),
 ]
 
 
@@ -325,7 +322,7 @@ def test_ops_record_only_over_a_live_input(op):
     assert out._backward is None and out._inputs == ()
     a = ad.parameter(np.arange(1.0, 5.0).reshape(2, 2))
     out = op(a)
-    assert out._backward is not None and any(t is a for t in out._inputs)
+    assert out._backward is not None and any(t is a for t in ad._toposort(out))
 
 
 class TestNoGrad:
@@ -394,6 +391,11 @@ class TestNoGrad:
 def test_chunk_size_is_the_largest_power_of_two_that_fits_the_row_budget(rows, windows):
     assert ad.CHUNK_ROWS == 1280
     assert ad.chunk_size(rows) == windows
+
+
+def test_an_h36m22_chunk_takes_its_weight_gradients_in_one_row_block():
+    # 4 windows of 220 rows: each weight gradient is one product.
+    assert ad.chunk_size(220) * 220 <= ad._ROW_BLOCK
 
 
 def test_map_chunks_slices_by_the_rows_per_item():

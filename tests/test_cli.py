@@ -12,8 +12,8 @@ import yaml
 
 from posecast import autodiff as ad
 from posecast import cli, gradcheck
-from posecast.data import (load_sequences, make_windows, save_sequences, skeleton_preset,
-                           synth_kinematic)
+from posecast.data import (PoseSequence, load_sequences, make_windows, save_sequences,
+                           skeleton_preset, synth_kinematic)
 from posecast.model import (ForecastModel, ModelConfig, build_model, load_checkpoint,
                             save_checkpoint)
 from posecast.training import TrainConfig, check_horizons, evaluate
@@ -178,6 +178,33 @@ def test_predict_names_skipped_records(bad_inputs, tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"wrote 1 predicted sequences to {out}; skipped 1 shorter than T=4: 'jump'\n")
     assert [seq.label for seq in load_sequences(out)] == ["walk"]
+
+
+def test_predict_forecasts_every_record_in_one_call(bad_inputs, tmp_path, monkeypatch):
+    # More records than two chunks hold, with every weight perturbed so that
+    # the refinement is not the identity: the file holds the bytes that one
+    # predict call per record gives.
+    model = load_checkpoint(bad_inputs["model.pckp"])
+    rng = np.random.default_rng(21)
+    for p in model.parameters():
+        p.values += rng.normal(scale=0.1, size=p.shape)
+    ckpt = tmp_path / "perturbed.pckp"
+    save_checkpoint(ckpt, model)
+    n = ad.chunk_size(model.window_rows)
+    seqs = [synth_kinematic(4, frames=4 + i % 5, period=6, seed=i, label=f"r{i}")
+            for i in range(2 * n + 5)]
+    save_sequences(tmp_path / "many.mgps", seqs)
+    calls = []
+    predict = ForecastModel.predict
+    monkeypatch.setattr(ForecastModel, "predict",
+                        lambda self, x: calls.append(len(x)) or predict(self, x))
+    out = tmp_path / "pred.mgps"
+    assert cli.main(["predict", str(ckpt), str(tmp_path / "many.mgps"), str(out)]) == 0
+    assert calls == [len(seqs)] and len(seqs) > 2 * n
+    save_sequences(tmp_path / "loop.mgps", [
+        PoseSequence(frames=model.predict(seq.frames[-4:][None])[0], rate=seq.rate,
+                     label=seq.label) for seq in seqs])
+    assert out.read_bytes() == (tmp_path / "loop.mgps").read_bytes()
 
 
 def test_sweep_command(run_config, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from posecast.autodiff import DimensionError
 from posecast.data import skeleton_preset
 from posecast.gradcheck import check_gradients
 from posecast.graphs import SkeletonGraph, build_hop_partition, build_multigraph
-from posecast.layers import GraphConvLayer, GraphConvTower
+from posecast.layers import GraphConvLayer, GraphConvTower, glorot as draw
 from posecast.model import ModelConfig, build_model
 
 from test_graphs import kron_operators
@@ -39,18 +40,43 @@ def flat(h):
 
 
 def glorot(rng, c_in, c_out, n):
-    """n weights of one layer, drawn as the model draws them."""
-    return [ad.parameter(None, rng=rng, shape=(c_in, c_out)) for _ in range(n)]
+    """n hop weights of one layer, drawn as the model draws them."""
+    return [draw(rng, (c_in, c_out)) for _ in range(n)]
 
 
 def tower_weights(rng, schedule, n):
     return [w for c_in, c_out in zip(schedule, schedule[1:]) for w in glorot(rng, c_in, c_out, n)]
 
 
+def hop_grads(layer, dw):
+    """The per-hop [C_in, C_out] slices of ``dw``, a gradient of the layer's weight."""
+    return ad.hop_views(dw, *layer.hops[0].shape)
+
+
+def backward_grads(out, target, params):
+    """The gradients of sum(out * target) for params, through backward()."""
+    for p in params:
+        p.grad = None
+    ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
+    return [p.grad for p in params]
+
+
+def dense_reference(g, h, layer, activation):
+    """sum_k A_k h W_k over the dense (VT)^2 operators, then tanh if
+    ``activation`` is set, with copies of the layer's hop weights as
+    tensors of their own; returns the output and those tensors."""
+    weights = [ad.parameter(w.copy()) for w in layer.hops]
+    dense = None
+    for a_k, w_k in zip(kron_operators(g), weights):
+        term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
+        dense = term if dense is None else ad.add(dense, term)
+    return (ad.tanh(dense) if activation else dense), weights
+
+
 def test_identity_layer_reproduces_input():
     rng = np.random.default_rng(0)
     layer = GraphConvLayer(glorot(rng, 3, 3, 1), activation=False)
-    layer.weights[0].values[...] = np.eye(3)
+    layer.hops[0][...] = np.eye(3)
     h = ad.constant(rng.normal(size=(2, 1, 1, 3)))
     out = layer.forward(h, single_node_graph())
     assert np.allclose(out.values, h.values, atol=1e-15)
@@ -59,7 +85,7 @@ def test_identity_layer_reproduces_input():
 def test_zero_weights_give_zero_output():
     rng = np.random.default_rng(1)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    layer = GraphConvLayer([ad.parameter(np.zeros((3, 5))) for _ in range(2)], activation=True)
+    layer = GraphConvLayer([np.zeros((3, 5)) for _ in range(2)], activation=True)
     h = ad.constant(rng.normal(size=poses(g, 2, 3)))
     out = layer.forward(h, g)
     assert np.array_equal(out.values, np.zeros(poses(g, 2, 5)))
@@ -74,8 +100,8 @@ def test_two_node_layer_matches_hand_assembly():
     a = kron_operators(g)
     h = h.reshape(1, 2, 3)
     expected = (
-        a[0] @ h @ layer.weights[0].values
-        + a[1] @ h @ layer.weights[1].values
+        a[0] @ h @ layer.hops[0]
+        + a[1] @ h @ layer.hops[1]
     )
     assert np.allclose(out.values.reshape(expected.shape), expected, atol=1e-12)
 
@@ -107,7 +133,7 @@ class TestTower:
     def test_one_layer_identity_tower(self):
         rng = np.random.default_rng(6)
         tower = GraphConvTower(tower_weights(rng, (3, 3), 1), num_partitions=1)
-        tower.layers[0].weights[0].values[...] = np.eye(3)
+        tower.layers[0].hops[0][...] = np.eye(3)
         h = ad.constant(rng.normal(size=(1, 1, 1, 3)))
         out = tower.forward(h, single_node_graph())
         assert np.allclose(out.values, h.values, atol=1e-15)
@@ -167,8 +193,8 @@ class TestTower:
     def test_weight_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         g = multigraph(chain(3), frames=2, span=1, max_hop=1)
-        params = tower_weights(rng, (3, 4, 3), 2)
-        tower = GraphConvTower(params, num_partitions=2)
+        tower = GraphConvTower(tower_weights(rng, (3, 4, 3), 2), num_partitions=2)
+        params = [layer.weight for layer in tower.layers]
         x = ad.constant(rng.normal(size=(2, 2, 3, 3)))
         err = check_gradients(
             lambda: ad.tensor_sum(ad.mul(o := tower.forward(x, g), o)), params
@@ -187,24 +213,14 @@ class TestFactoredGraphConv:
             layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=activation)
             h = ad.parameter(rng.normal(size=poses(g, 2, c_in)))
             target = rng.normal(size=poses(g, 2, c_out))
-
-            def grads(out):
-                for p in [h, *layer.weights]:
-                    p.grad = None
-                ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
-                return [p.grad for p in [h, *layer.weights]]
-
-            dense = None
-            for a_k, w_k in zip(kron_operators(g), layer.weights):
-                term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
-                dense = term if dense is None else ad.add(dense, term)
-            if activation:
-                dense = ad.tanh(dense)
-            expected, expected_grads = dense.values, grads(dense)
+            dense, weights = dense_reference(g, h, layer, activation)
+            expected = dense.values
+            expected_grads = backward_grads(dense, target, [h, *weights])
             out = layer.forward(h, g)
             assert out.shape == target.shape
             assert np.abs(out.values.reshape(expected.shape) - expected).max() <= 1e-12
-            for got, want in zip(grads(out), expected_grads, strict=True):
+            dh, dw = backward_grads(out, target, [h, layer.weight])
+            for got, want in zip([dh, *hop_grads(layer, dw)], expected_grads, strict=True):
                 assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
@@ -217,44 +233,26 @@ class TestFactoredGraphConv:
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
         h = ad.constant(rng.normal(size=poses(g, 2, c_in)))
         target = rng.normal(size=poses(g, 2, c_out))
-
-        def weight_grads(out):
-            for w in layer.weights:
-                w.grad = None
-            ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
-            return [w.grad for w in layer.weights]
-
-        dense = None
-        for a_k, w_k in zip(kron_operators(g), layer.weights):
-            term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
-            dense = term if dense is None else ad.add(dense, term)
-        expected = weight_grads(ad.tanh(dense))
-        for got, want in zip(weight_grads(layer.forward(h, g)), expected, strict=True):
+        dense, weights = dense_reference(g, h, layer, activation=True)
+        expected = backward_grads(dense, target, weights)
+        dw, = backward_grads(layer.forward(h, g), target, [layer.weight])
+        for got, want in zip(hop_grads(layer, dw), expected, strict=True):
             assert np.abs(got - want).max() <= 1e-12
         assert h.grad is None
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
     def test_weight_gradients_summed_over_row_blocks(self, c_in, c_out):
-        # 130 windows of 12 nodes: three full row blocks and a partial one.
+        # 300 windows of 12 nodes: three full row blocks and a partial one.
         rng = np.random.default_rng(15)
         g = multigraph(chain(4), frames=3, span=1, max_hop=3)
         layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
-        h = ad.parameter(rng.normal(size=poses(g, 130, c_in)))
-        assert 3 * ad._ROW_BLOCK < 130 * 12 < 4 * ad._ROW_BLOCK
-        target = rng.normal(size=poses(g, 130, c_out))
-
-        def grads(out):
-            for p in [h, *layer.weights]:
-                p.grad = None
-            ad.tensor_sum(ad.mul(out, ad.constant(target.reshape(out.shape)))).backward()
-            return [p.grad for p in [h, *layer.weights]]
-
-        dense = None
-        for a_k, w_k in zip(kron_operators(g), layer.weights):
-            term = ad.matmul(ad.matmul(ad.constant(a_k), flat(h)), w_k)
-            dense = term if dense is None else ad.add(dense, term)
-        expected = grads(ad.tanh(dense))
-        for got, want in zip(grads(layer.forward(h, g)), expected, strict=True):
+        h = ad.parameter(rng.normal(size=poses(g, 300, c_in)))
+        assert 3 * ad._ROW_BLOCK < 300 * 12 < 4 * ad._ROW_BLOCK
+        target = rng.normal(size=poses(g, 300, c_out))
+        dense, weights = dense_reference(g, h, layer, activation=True)
+        expected = backward_grads(dense, target, [h, *weights])
+        dh, dw = backward_grads(layer.forward(h, g), target, [h, layer.weight])
+        for got, want in zip([dh, *hop_grads(layer, dw)], expected, strict=True):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("c_in, c_out", [(3, 5), (5, 3)])
@@ -267,11 +265,9 @@ class TestFactoredGraphConv:
         for _ in range(2):
             h = ad.parameter(x.copy())
             out = layer.forward(h, g)
-            for w in layer.weights:
-                w.grad = None
+            layer.weight.grad = None
             ad.tensor_sum(ad.mul(out, out)).backward()
-            runs.append([out.values.tobytes(), h.grad.tobytes()]
-                        + [w.grad.tobytes() for w in layer.weights])
+            runs.append([out.values.tobytes(), h.grad.tobytes(), layer.weight.grad.tobytes()])
         assert runs[0] == runs[1]
 
     def test_widening_layer_peak_memory_without_grad(self):
@@ -331,16 +327,17 @@ class TestFactoredGraphConv:
             GraphConvLayer(glorot(rng, 3, 5, 1) + glorot(rng, 1, 5, 1), activation=True)
 
 
-def test_weights_must_be_slices_of_the_layer_stack():
-    rng = np.random.default_rng(16)
+@pytest.mark.parametrize("shape, layout", [
+    ((3, 2, 5), (2, 3, 5)),     # 3 -> 5 widens: [D+1, C_in, C_out]
+    ((2, 3, 2), (3, 2, 2)),     # 3 -> 2 does not: [C_in, D+1, C_out]
+    ((3, 5), (2, 3, 5)),        # one hop's weight
+])
+def test_graph_conv_rejects_a_weight_not_in_the_layer_layout(shape, layout):
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    h = ad.constant(rng.normal(size=poses(g, 1, 3)))
-    for c_out in (5, 2):
-        for k in (0, 1):
-            layer = GraphConvLayer(glorot(rng, 3, c_out, 2), activation=True)
-            layer.weights[k].values = layer.weights[k].values.copy()
-            with pytest.raises(ValueError, match="slices"):
-                layer.forward(h, g)
+    h = ad.constant(np.zeros(poses(g, 1, 3)))
+    with pytest.raises(DimensionError, match=re.escape(f"shape {shape};") + ".*"
+                       + re.escape(f"need {layout}")):
+        ad.graph_conv(h, ad.parameter(np.zeros(shape)), g.band, g.hop_stack)
 
 
 def test_model_graphs_hold_no_dense_operator():

@@ -47,8 +47,7 @@ def tiny_config(**overrides):
 
 
 def zero_final_layer(tower):
-    for w in tower.layers[-1].weights:
-        w.values[...] = 0.0
+    tower.layers[-1].weight.values[...] = 0.0
 
 
 class TestTemporalAlign:
@@ -261,8 +260,13 @@ class TestParameterCount:
                              value_schedule=(3, 5, 4, 3))
         model = build_model(skeleton_preset("chain_4"), config)
         table = list(parameter_shapes(config))
-        assert table == [(name, p.shape) for name, p in model.params.items()]
-        assert model.parameters() == list(model.params.values())
+        assert table == [(name, block.shape) for name, block in model.params.items()]
+        # One tensor per layer, tcn after the q and k towers.
+        layers = [layer for tower in (model.v_tower, model.q_tower, model.k_tower) if tower
+                  for layer in tower.layers]
+        last = model.refine_tower.layers if refine else []
+        assert model.parameters() == ([layer.weight for layer in layers] + [model.tcn]
+                                      + [layer.weight for layer in last])
         # D+1 = 3 weights per layer, numbered layer by layer.
         assert [name for name, _ in table[:9]] == [f"v_tower.{i}" for i in range(9)]
         assert [shape for _, shape in table[:9]] == [(3, 5)] * 3 + [(5, 4)] * 3 + [(4, 3)] * 3
@@ -485,7 +489,7 @@ class TestCheckpoint:
         # temporary of the frame band takes 1.1 GiB.
         config = tiny_config(input_frames=12_000, output_frames=1, strategy="none",
                              refine=False)
-        params = {name: ad.constant(np.zeros(shape)) for name, shape in parameter_shapes(config)}
+        params = {name: np.zeros(shape) for name, shape in parameter_shapes(config)}
         path = tmp_path / "model.pckp"
         save_checkpoint(path, SimpleNamespace(config=config, skeleton=skeleton_preset("chain_4"),
                                               joint_count=4, params=params))
@@ -522,9 +526,9 @@ def test_refine_starts_as_identity():
 
 
 class TestWeightStacks:
-    """Each layer keeps its D+1 weights in one stack, and the named
-    parameter tensors are views of it, so whatever writes a parameter in
-    place writes the stack the forward pass multiplies by."""
+    """Each layer keeps its D+1 weights in one trainable tensor, and the
+    named checkpoint blocks are views of it, so whatever writes a block or
+    the tensor in place writes what the forward pass multiplies by."""
 
     def setup_method(self):
         self.skeleton = skeleton_preset("chain_4")
@@ -537,8 +541,8 @@ class TestWeightStacks:
     def rebuilt(self, model):
         """A newly built model holding copies of ``model``'s values."""
         clone = build_model(self.skeleton, model.config)
-        for name, p in clone.params.items():
-            p.values[...] = model.params[name].values
+        for name, block in clone.params.items():
+            block[...] = model.params[name]
         return clone
 
     def adam_step(self):
@@ -550,16 +554,34 @@ class TestWeightStacks:
         m = self.model
         layers = [layer for tower in (m.v_tower, m.q_tower, m.k_tower, m.refine_tower)
                   for layer in tower.layers]
-        stacks = [layer.weights[0].values.base for layer in layers]
-        assert {s.shape[0] == len(layer.weights) for s, layer in zip(stacks, layers)} == {True, False}
-        names = {id(p): name for name, p in m.params.items()}
-        stacked = []
-        for stack, layer in zip(stacks, layers):
-            for w in layer.weights:
-                assert w.values.base is stack
-                stacked.append(names[id(w)])
-        assert sorted(stacked) == sorted(name for name in m.params if name != "tcn")
+        widens = [layer.weight.shape[0] == len(layer.hops) for layer in layers]
+        assert set(widens) == {True, False}
+        blocks = {id(block): name for name, block in m.params.items()}
+        seen = []
+        for layer in layers:
+            c_in, c_out = layer.hops[0].shape
+            assert layer.weight.shape == ad.weight_layout(len(layer.hops), c_in, c_out)
+            for hop, view in zip(layer.hops, ad.hop_views(layer.weight.values, c_in, c_out)):
+                assert hop.base is layer.weight.values
+                assert hop.shape == view.shape and hop.strides == view.strides
+                assert hop.__array_interface__["data"] == view.__array_interface__["data"]
+                seen.append(blocks[id(hop)])
+        assert sorted(seen) == sorted(name for name in m.params if name != "tcn")
+        assert m.params["tcn"] is m.tcn.values
 
+    @pytest.mark.parametrize("skeleton, layers", [("h36m22", 18), ("chain_8", 8)])
+    def test_one_trainable_tensor_per_layer_and_tcn(self, skeleton, layers):
+        # The benchmark's models: 73 and 17 blocks.
+        m = benchmark_model(skeleton)
+        params = m.parameters()
+        towers = [t for t in (m.v_tower, m.q_tower, m.k_tower, m.refine_tower) if t]
+        assert len(params) == layers + 1 == sum(len(t.layers) for t in towers) + 1
+        assert len(m.params) == (layers * (m.config.max_hop + 1) + 1)
+        assert len({id(p) for p in params}) == len(params)
+        assert sum(p.values.size for p in params) == sum(b.size for b in m.params.values())
+        for name, block in m.params.items():
+            owners = [p for p in params if np.shares_memory(block, p.values)]
+            assert len(owners) == 1, name
     def test_adam_step_updates_the_stacks(self):
         before = self.model.predict(self.x)
         self.adam_step()

@@ -284,8 +284,8 @@ class TestChunkedSteps:
         # plain loop; B = 7 on chain_8) and at several (B = 7 on h36m22, two;
         # B = 42, three on chain_8, eleven on h36m22), in processes started
         # with one and with two OpenBLAS threads. The import pins one
-        # thread: at two, the 440-row weight-gradient contractions of a
-        # 2-window h36m22 chunk sum in another order.
+        # thread: at two, the weight-gradient contractions of 2- to 4-window
+        # h36m22 chunks (440 to 880 rows) sum in another order.
         child = textwrap.dedent("""
             import hashlib
             from posecast import model as pm
