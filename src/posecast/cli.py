@@ -142,7 +142,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
-    horizons = config_value("--horizons", args.horizons.split(","), "tuple")
+    horizons = (config_value("--horizons", args.horizons.split(","), "tuple")
+                if args.horizons is not None else (model.config.output_frames,))
     windows = _load_windows(args.dataset, model.config, model.skeleton)
     report = evaluate(model, windows, horizons)
     extra = {"baseline": baseline_report(windows, horizons).horizons} if args.baseline else {}
@@ -238,7 +239,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("checkpoint")
     p.add_argument("dataset")
-    p.add_argument("--horizons", default="2,10,25")
+    p.add_argument("--horizons", help="comma-separated frame offsets (default: K)")
     p.add_argument("--baseline", action="store_true",
                    help="include the copy-last-frame baseline row")
     p.add_argument("--out", default=None, help="machine-readable JSON copy")
@@ -275,13 +276,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # Config values, PoseFormatError, DimensionError, missing files.
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (ValueError, OSError, NumericalError) as exc:
+        # Config values, PoseFormatError, DimensionError and missing files
+        # are configuration errors. Every diagnostic is one stderr line.
+        kind, code = (("numerical failure", EXIT_NUMERICAL) if isinstance(exc, NumericalError)
+                      else ("configuration error", EXIT_CONFIG))
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"{kind}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

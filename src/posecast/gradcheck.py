@@ -134,8 +134,10 @@ def _check_graph_conv():
         graph = build_multigraph(partition, frame_count=frame_count, span=span)
         for c_in, c_out in ((3, 4), (4, 3)):
             h = ad.parameter(rng.normal(size=(2, frame_count, 4, c_in)))
-            hops = [rng.normal(size=(c_in, c_out)) for _ in range(4)]
-            weight = GraphConvLayer(hops, activation=False).weight
+            layer = GraphConvLayer(c_in, c_out, 4, activation=False)
+            for hop in layer.hops:
+                hop[...] = rng.normal(size=(c_in, c_out))
+            weight = layer.weight
             for activation in (False, True):
                 err = check_gradients(
                     lambda: ad.tensor_sum(ad.mul(

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 from .data import Reader
 from .graphs import SkeletonGraph, build_hop_partition, build_multigraph, check_max_hop
-from .layers import GraphConvTower, glorot
+from .layers import GraphConvTower
 
 __all__ = [
     "ModelConfig",
@@ -134,6 +134,10 @@ class ForecastOutput:
 
 
 class ForecastModel:
+    """Graphs, towers and tcn, all parameters zero. ``params`` maps each
+    checkpoint block's name, in order, to its view of a layer tensor or of
+    tcn; ``build_model`` and ``load_checkpoint`` write the values through it."""
+
     def __init__(self, skeleton, config):
         self.skeleton = skeleton
         self.config = config
@@ -147,13 +151,7 @@ class ForecastModel:
             raise ValueError(f"cannot allocate the graphs of V={skeleton.joint_count}, T={t}, "
                              f"K={k}, max_hop={config.max_hop}: {exc}") from exc
 
-        # Hop weights take Glorot draws in table order, layer by layer; tcn
-        # rows start as the temporal mean, so each output frame is
-        # initially a row-stochastic smoothing of the intermediate frames.
-        # The layer tensors and tcn are the trainable parameters, in
-        # checkpoint order; each named block is a view of one of them.
-        rng = np.random.default_rng(config.seed)
-        self.tcn = ad.parameter(np.full((k, t), 1.0 / t))
+        self.tcn = ad.parameter(np.zeros((k, t)))
         self.v_tower = self.q_tower = self.k_tower = self.refine_tower = None
         self._parameters, blocks = [], []
         for part, schedule in _layout(config):
@@ -161,16 +159,11 @@ class ForecastModel:
                 self._parameters.append(self.tcn)
                 blocks.append(self.tcn.values)
                 continue
-            hops = [glorot(rng, shape) for _, shape in _tower_shapes(part, schedule, config.max_hop)]
-            tower = GraphConvTower(hops, config.max_hop + 1)
+            tower = GraphConvTower(schedule, config.max_hop + 1)
             setattr(self, part, tower)
             self._parameters += [layer.weight for layer in tower.layers]
             blocks += [hop for layer in tower.layers for hop in layer.hops]
-        self.params = dict(zip((name for name, _ in parameter_shapes(config)), blocks))
-        if config.refine:
-            # Drawn last, so zeroing its final layer changes no other draw;
-            # the refinement then starts as the identity.
-            self.refine_tower.layers[-1].weight.values[...] = 0.0
+        self.params = dict(zip((name for name, _ in parameter_shapes(config)), blocks, strict=True))
 
     @property
     def joint_count(self):
@@ -256,7 +249,25 @@ def window_rows(t, k, v):
 
 
 def build_model(skeleton, config):
-    return ForecastModel(skeleton, config)
+    """A model with its initial values, written through ``params`` in table
+    order: a Glorot draw from ``default_rng(config.seed)`` per hop block,
+    and tcn's rows the temporal mean. The refine tower, drawn last, then
+    has its final layer zeroed, so the refinement starts as the identity."""
+    model = ForecastModel(skeleton, config)
+    rng = np.random.default_rng(config.seed)
+    for name, block in model.params.items():
+        block[...] = 1.0 / config.input_frames if name == "tcn" else glorot(rng, block.shape)
+    if config.refine:
+        model.refine_tower.layers[-1].weight.values[...] = 0.0
+    return model
+
+
+def glorot(rng, shape):
+    """A [fan_in, fan_out] weight drawn uniformly from [-b, b],
+    b = sqrt(6 / (fan_in + fan_out))."""
+    fan_in, fan_out = shape
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def temporal_align(z, tcn):
@@ -286,7 +297,9 @@ def _layout(config):
 
 
 def parameter_shapes(config):
-    """Yield (name, shape) of every checkpoint block, in checkpoint order.
+    """Yield (name, shape) of every checkpoint block, in checkpoint order:
+    the one table of blocks, which the model names its views by and the
+    loader sizes a file against.
 
     Towers hold D+1 weights per layer, one per hop partition, numbered
     layer by layer. Lazy, since the length grows with max_hop.
@@ -294,13 +307,9 @@ def parameter_shapes(config):
     for part, schedule in _layout(config):
         if schedule is None:
             yield "tcn", (config.output_frames, config.input_frames)
-        else:
-            yield from _tower_shapes(part, schedule, config.max_hop)
-
-
-def _tower_shapes(tower, schedule, max_hop):
-    shapes = (shape for shape in zip(schedule, schedule[1:]) for _ in range(max_hop + 1))
-    return ((f"{tower}.{i}", shape) for i, shape in enumerate(shapes))
+            continue
+        shapes = (shape for shape in zip(schedule, schedule[1:]) for _ in range(config.max_hop + 1))
+        yield from ((f"{part}.{i}", shape) for i, shape in enumerate(shapes))
 
 
 def _pack_field(code, value):

@@ -149,7 +149,8 @@ def train(model, windows, config):
     rng = np.random.default_rng(config.seed)
     lr = config.lr_initial
     log = []
-    sums = [np.empty_like(p.values) for p in params]       # every step's p.grad
+    for p in params:                    # every step folds its gradients into these
+        p.grad = np.zeros_like(p.values)
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= config.lr_decay_factor
@@ -169,11 +170,11 @@ def train(model, windows, config):
 
             def fold(result):           # in chunk order: chunk 0's copied, the rest added
                 offset, grads = result
-                for total, g in zip(sums, grads):
+                for p, g in zip(params, grads):
                     if offset == 0:
-                        np.copyto(total, g)
+                        np.copyto(p.grad, g)
                     else:
-                        total += g
+                        p.grad += g
 
             ad.map_chunks(chunk, len(idx), model.window_rows, fold)
             value = mpjpe_loss(ad.constant(preds), targets).item()
@@ -184,8 +185,6 @@ def train(model, windows, config):
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"
                 )
-            for p, total in zip(params, sums):
-                p.grad = total
             if config.clip_norm is not None:
                 _clip_gradients(params, config.clip_norm)
             adam_step(params, state, lr)

@@ -20,8 +20,8 @@ from posecast.attention import (
 )
 from posecast.data import make_windows, save_sequences, skeleton_preset, synth_kinematic
 from posecast.graphs import SkeletonGraph, build_hop_partition, build_multigraph
-from posecast.layers import GraphConvTower, glorot
-from posecast.model import ModelConfig, build_model
+from posecast.layers import GraphConvTower
+from posecast.model import ModelConfig, build_model, glorot
 from posecast.training import TrainConfig, baseline_report, evaluate, train
 
 from test_graphs import floyd_warshall, random_connected_graph, raw_operators
@@ -133,8 +133,10 @@ def test_07_receptive_field_is_layers_times_span():
     frames, span, v = 10, 1, 4
     graph = build_multigraph(build_hop_partition(chain(v), 1), frames, span)
     # Schedule (3, 6, 3) over 2 hop partitions: two weights per layer.
-    shapes = [(3, 6), (3, 6), (6, 3), (6, 3)]
-    tower = GraphConvTower([glorot(rng, s) for s in shapes], num_partitions=2)
+    tower = GraphConvTower((3, 6, 3), 2)
+    for layer in tower.layers:
+        for hop in layer.hops:
+            hop[...] = glorot(rng, hop.shape)
     n_layers = len(tower.layers)
 
     x = rng.normal(size=(1, frames, v, 3))

@@ -154,6 +154,14 @@ class TestEvalCommand:
         ckpt = tmp_path / "run" / "checkpoint.pckp"
         assert cli.main(["eval", str(ckpt), str(dataset), "--horizons", "9"]) == 2
 
+    def test_default_horizon_is_k(self, run_config, tmp_path, dataset, capsys):
+        path, config = run_config
+        cli.main(["train", str(path)])
+        ckpt = tmp_path / "run" / "checkpoint.pckp"
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), str(dataset)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split() == ["horizon", "3"]
+
 
 def test_predict_command(run_config, tmp_path, dataset):
     path, config = run_config
@@ -266,6 +274,7 @@ def bad_inputs(run_config, tmp_path):
     (tmp_path / "span.pckp").write_bytes(bad_span)
     (tmp_path / "bad.mgps").write_bytes(b"XXXX" + bytes(40))
     save_sequences(tmp_path / "wide.mgps", [synth_kinematic(5, frames=30, period=6)])
+    (tmp_path / "syntax.yaml").write_text("seed: 3\nmodel: {input_frames: 4\n")
 
     def train_with(section, **fields):
         cfg = copy.deepcopy(config)
@@ -275,7 +284,7 @@ def bad_inputs(run_config, tmp_path):
 
     inputs = {name: str(tmp_path / name)
               for name in ("model.pckp", "truncated.pckp", "padded.pckp", "span.pckp",
-                           "bad.mgps", "wide.mgps", "nope.mgps")}
+                           "bad.mgps", "wide.mgps", "nope.mgps", "syntax.yaml")}
     inputs["poses.mgps"] = config["dataset"]
     inputs["dump"] = str(tmp_path / "dump")
     inputs["train_with"] = train_with
@@ -315,6 +324,8 @@ MALFORMED = {
     "eval_horizons_not_int": (_eval("model.pckp", "poses.mgps", "a"), "--horizons"),
     "train_horizon_beyond_k": (_train(horizons=[1, 9]), "horizon 9"),
     "train_empty_horizons": (_train(horizons=[]), "horizons is empty"),
+    "train_yaml_syntax_error": (lambda f: ["train", f["syntax.yaml"]],
+                                "while parsing a flow mapping"),
     "train_unknown_skeleton": (_train(skeleton="octopus"), "octopus"),
     "train_unknown_model_key": (_train("model", max_hops=2), "max_hops"),
     "train_refine_string": (_train("model", refine="false"), "refine"),

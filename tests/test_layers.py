@@ -9,8 +9,8 @@ from posecast.autodiff import DimensionError
 from posecast.data import skeleton_preset
 from posecast.gradcheck import check_gradients
 from posecast.graphs import SkeletonGraph, build_hop_partition, build_multigraph
-from posecast.layers import GraphConvLayer, GraphConvTower, glorot as draw
-from posecast.model import ModelConfig, build_model
+from posecast.layers import GraphConvLayer, GraphConvTower
+from posecast.model import ModelConfig, build_model, glorot
 
 from test_graphs import kron_operators
 
@@ -39,13 +39,26 @@ def flat(h):
     return ad.reshape(h, (b, t * v, c))
 
 
-def glorot(rng, c_in, c_out, n):
-    """n hop weights of one layer, drawn as the model draws them."""
-    return [draw(rng, (c_in, c_out)) for _ in range(n)]
+def draw(rng, layers):
+    """Write a Glorot draw into every hop view of ``layers``, in order, as
+    build_model draws a tower's blocks."""
+    for layer in layers:
+        for hop in layer.hops:
+            hop[...] = glorot(rng, hop.shape)
 
 
-def tower_weights(rng, schedule, n):
-    return [w for c_in, c_out in zip(schedule, schedule[1:]) for w in glorot(rng, c_in, c_out, n)]
+def drawn_layer(rng, c_in, c_out, n, activation):
+    """A layer of n hop weights, drawn."""
+    built = GraphConvLayer(c_in, c_out, n, activation)
+    draw(rng, [built])
+    return built
+
+
+def drawn_tower(rng, schedule, n):
+    """A tower of n hop weights per layer, drawn."""
+    built = GraphConvTower(schedule, n)
+    draw(rng, built.layers)
+    return built
 
 
 def hop_grads(layer, dw):
@@ -75,7 +88,7 @@ def dense_reference(g, h, layer, activation):
 
 def test_identity_layer_reproduces_input():
     rng = np.random.default_rng(0)
-    layer = GraphConvLayer(glorot(rng, 3, 3, 1), activation=False)
+    layer = drawn_layer(rng, 3, 3, 1, activation=False)
     layer.hops[0][...] = np.eye(3)
     h = ad.constant(rng.normal(size=(2, 1, 1, 3)))
     out = layer.forward(h, single_node_graph())
@@ -85,7 +98,7 @@ def test_identity_layer_reproduces_input():
 def test_zero_weights_give_zero_output():
     rng = np.random.default_rng(1)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    layer = GraphConvLayer([np.zeros((3, 5)) for _ in range(2)], activation=True)
+    layer = GraphConvLayer(3, 5, 2, activation=True)
     h = ad.constant(rng.normal(size=poses(g, 2, 3)))
     out = layer.forward(h, g)
     assert np.array_equal(out.values, np.zeros(poses(g, 2, 5)))
@@ -94,7 +107,7 @@ def test_zero_weights_give_zero_output():
 def test_two_node_layer_matches_hand_assembly():
     rng = np.random.default_rng(2)
     g = multigraph(chain(2), frames=1, span=0, max_hop=1)
-    layer = GraphConvLayer(glorot(rng, 3, 4, 2), activation=False)
+    layer = drawn_layer(rng, 3, 4, 2, activation=False)
     h = rng.normal(size=poses(g, 1, 3))
     out = layer.forward(ad.constant(h), g)
     a = kron_operators(g)
@@ -110,7 +123,7 @@ def test_node_count_mismatch():
     # Wrong joints, wrong frames, and the right node count flattened.
     rng = np.random.default_rng(3)
     g = multigraph(chain(4), frames=2, span=1, max_hop=1)
-    layer = GraphConvLayer(glorot(rng, 3, 3, 2), activation=True)
+    layer = drawn_layer(rng, 3, 3, 2, activation=True)
     for shape in ((1, 2, 5, 3), (1, 3, 4, 3), (1, 8, 3)):
         with pytest.raises(DimensionError, match=r"T=2 frames of V=4 joints"):
             layer.forward(ad.constant(np.zeros(shape)), g)
@@ -121,18 +134,28 @@ class TestTower:
         rng = np.random.default_rng(4)
         skeleton = chain(22)
         g = multigraph(skeleton, frames=10, span=2, max_hop=2)
-        tower = GraphConvTower(tower_weights(rng, (3, 64, 32, 64, 3), 3), num_partitions=3)
+        tower = drawn_tower(rng, (3, 64, 32, 64, 3), 3)
         out = tower.forward(ad.constant(rng.normal(size=(2, 10, 22, 3))), g)
         assert out.shape == (2, 10, 22, 3)
 
     def test_qk_schedule_yields_five_layers(self):
         rng = np.random.default_rng(5)
-        tower = GraphConvTower(tower_weights(rng, (3, 64, 32, 16, 16, 3), 2), num_partitions=2)
+        tower = drawn_tower(rng, (3, 64, 32, 16, 16, 3), 2)
         assert len(tower.layers) == 5
+
+    def test_builds_zero_layers_from_its_schedule(self):
+        tower = GraphConvTower((3, 64, 32, 64, 3), 4)
+        widths = [(3, 64), (64, 32), (32, 64), (64, 3)]
+        assert len(tower.layers) == len(widths)
+        for layer, (c_in, c_out) in zip(tower.layers, widths):
+            assert layer.weight.shape == ad.weight_layout(4, c_in, c_out)
+            assert not layer.weight.values.any()
+            assert [hop.shape for hop in layer.hops] == [(c_in, c_out)] * 4
+        assert [layer.activation for layer in tower.layers] == [True, True, True, False]
 
     def test_one_layer_identity_tower(self):
         rng = np.random.default_rng(6)
-        tower = GraphConvTower(tower_weights(rng, (3, 3), 1), num_partitions=1)
+        tower = drawn_tower(rng, (3, 3), 1)
         tower.layers[0].hops[0][...] = np.eye(3)
         h = ad.constant(rng.normal(size=(1, 1, 1, 3)))
         out = tower.forward(h, single_node_graph())
@@ -158,10 +181,8 @@ class TestTower:
         g1 = multigraph(skeleton, frames=3, span=1, max_hop=2)
         g2 = multigraph(permuted_skeleton, frames=3, span=1, max_hop=2)
 
-        tower_a = GraphConvTower(tower_weights(np.random.default_rng(99), (3, 8, 3), 3),
-                                 num_partitions=3)
-        tower_b = GraphConvTower(tower_weights(np.random.default_rng(99), (3, 8, 3), 3),
-                                 num_partitions=3)
+        tower_a = drawn_tower(np.random.default_rng(99), (3, 8, 3), 3)
+        tower_b = drawn_tower(np.random.default_rng(99), (3, 8, 3), 3)
 
         x = rng.normal(size=(1, 3, v, 3))
         x_perm = np.empty_like(x)
@@ -177,7 +198,7 @@ class TestTower:
         frames, span = 8, 1
         skeleton = chain(3)
         g = multigraph(skeleton, frames=frames, span=span, max_hop=1)
-        tower = GraphConvTower(tower_weights(rng, (3, 6, 3), 2), num_partitions=2)
+        tower = drawn_tower(rng, (3, 6, 3), 2)
         n_layers = len(tower.layers)
 
         x = rng.normal(size=(1, frames, 3, 3))
@@ -193,7 +214,7 @@ class TestTower:
     def test_weight_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         g = multigraph(chain(3), frames=2, span=1, max_hop=1)
-        tower = GraphConvTower(tower_weights(rng, (3, 4, 3), 2), num_partitions=2)
+        tower = drawn_tower(rng, (3, 4, 3), 2)
         params = [layer.weight for layer in tower.layers]
         x = ad.constant(rng.normal(size=(2, 2, 3, 3)))
         err = check_gradients(
@@ -210,7 +231,7 @@ class TestFactoredGraphConv:
         for activation in (False, True):
             rng = np.random.default_rng(11)
             g = multigraph(chain(4), frames=3, span=1, max_hop=3)
-            layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=activation)
+            layer = drawn_layer(rng, c_in, c_out, 4, activation=activation)
             h = ad.parameter(rng.normal(size=poses(g, 2, c_in)))
             target = rng.normal(size=poses(g, 2, c_out))
             dense, weights = dense_reference(g, h, layer, activation)
@@ -230,7 +251,7 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(14)
         g = multigraph(chain(4), frames=3, span=1, max_hop=3)
         assert not g.band.all()
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        layer = drawn_layer(rng, c_in, c_out, 4, activation=True)
         h = ad.constant(rng.normal(size=poses(g, 2, c_in)))
         target = rng.normal(size=poses(g, 2, c_out))
         dense, weights = dense_reference(g, h, layer, activation=True)
@@ -245,7 +266,7 @@ class TestFactoredGraphConv:
         # 300 windows of 12 nodes: three full row blocks and a partial one.
         rng = np.random.default_rng(15)
         g = multigraph(chain(4), frames=3, span=1, max_hop=3)
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        layer = drawn_layer(rng, c_in, c_out, 4, activation=True)
         h = ad.parameter(rng.normal(size=poses(g, 300, c_in)))
         assert 3 * ad._ROW_BLOCK < 300 * 12 < 4 * ad._ROW_BLOCK
         target = rng.normal(size=poses(g, 300, c_out))
@@ -259,7 +280,7 @@ class TestFactoredGraphConv:
     def test_repeated_calls_are_bit_identical(self, c_in, c_out):
         rng = np.random.default_rng(12)
         g = multigraph(chain(6), frames=4, span=2, max_hop=2)
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 3), activation=True)
+        layer = drawn_layer(rng, c_in, c_out, 3, activation=True)
         x = rng.normal(size=poses(g, 3, c_in))
         runs = []
         for _ in range(2):
@@ -276,7 +297,7 @@ class TestFactoredGraphConv:
         g = multigraph(skeleton_preset("h36m22"), frames=10, span=2, max_hop=3)
         rng = np.random.default_rng(15)
         b, c_in, c_out = 32, 32, 64
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        layer = drawn_layer(rng, c_in, c_out, 4, activation=True)
         h = ad.constant(rng.normal(size=poses(g, b, c_in)))
         bound = 8 * b * g.frame_count * g.joint_count * (4 * c_in + c_out + c_in)
         tracemalloc.start()
@@ -299,7 +320,7 @@ class TestFactoredGraphConv:
         g = multigraph(skeleton_preset("h36m22"), frames=10, span=2, max_hop=3)
         rng = np.random.default_rng(17)
         b, c_in, c_out = 32, 32, 64
-        layer = GraphConvLayer(glorot(rng, c_in, c_out, 4), activation=True)
+        layer = drawn_layer(rng, c_in, c_out, 4, activation=True)
         h = ad.Tensor(rng.normal(size=poses(g, b, c_in)), requires_grad=h_live)
         out = layer.forward(h, g)
         grad = rng.normal(size=out.shape)
@@ -318,13 +339,11 @@ class TestFactoredGraphConv:
         rng = np.random.default_rng(13)
         g = multigraph(chain(4), frames=2, span=1, max_hop=1)
         with pytest.raises(DimensionError):
-            GraphConvLayer(glorot(rng, 4, 3, 2), activation=True).forward(
+            drawn_layer(rng, 4, 3, 2, activation=True).forward(
                 ad.constant(np.zeros(poses(g, 1, 3))), g)
         with pytest.raises(DimensionError):
-            GraphConvLayer(glorot(rng, 3, 3, 3), activation=True).forward(
+            drawn_layer(rng, 3, 3, 3, activation=True).forward(
                 ad.constant(np.zeros(poses(g, 1, 3))), g)
-        with pytest.raises(DimensionError, match="share one shape"):
-            GraphConvLayer(glorot(rng, 3, 5, 1) + glorot(rng, 1, 5, 1), activation=True)
 
 
 @pytest.mark.parametrize("shape, layout", [

@@ -525,6 +525,39 @@ def test_refine_starts_as_identity():
     assert np.allclose(with_refine, without, atol=1e-15)
 
 
+def test_build_model_writes_every_initial_value_in_table_order():
+    # The structure is all zero; build_model draws each hop block from
+    # default_rng(seed) in table order, sets tcn to 1/T and zeroes the
+    # refine tower's last layer.
+    skeleton = skeleton_preset("chain_4")
+    config = tiny_config(strategy="anchor", max_hop=2, seed=11)
+    assert not any(p.values.any() for p in pm.ForecastModel(skeleton, config).parameters())
+    model = build_model(skeleton, config)
+    last = model.refine_tower.layers[-1].weight.values
+    rng = np.random.default_rng(config.seed)
+    for name, shape in parameter_shapes(config):
+        block = model.params[name]
+        if name == "tcn":
+            assert np.array_equal(block, np.full(shape, 1.0 / config.input_frames))
+            continue
+        draw = pm.glorot(rng, shape)
+        zeroed = np.shares_memory(block, last)
+        assert np.array_equal(block, np.zeros(shape) if zeroed else draw), name
+
+
+def test_load_checkpoint_makes_no_draws(tmp_path, monkeypatch):
+    model = build_model(skeleton_preset("chain_4"), tiny_config(strategy="anchor"))
+    save_checkpoint(tmp_path / "model.pckp", model)
+
+    def refuse(rng, shape):
+        raise AssertionError("load_checkpoint drew an initial value")
+
+    monkeypatch.setattr(pm, "glorot", refuse)
+    loaded = load_checkpoint(tmp_path / "model.pckp")
+    x = np.random.default_rng(4).normal(size=(2, 3, 4, 3))
+    assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
+
+
 class TestWeightStacks:
     """Each layer keeps its D+1 weights in one trainable tensor, and the
     named checkpoint blocks are views of it, so whatever writes a block or
