@@ -15,10 +15,11 @@ The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
 ``with no_grad():`` operations record nothing at all; the block holds
 for the thread that entered it, and every other thread keeps recording.
-``map_chunks`` runs a function over chunks of items on threads, each chunk
-as many items as fit in a fixed budget of graph rows, and hands each
-chunk's result to a fold in chunk order as it finishes. Importing this
-module sets numpy's bundled OpenBLAS to one thread for the whole process.
+``map_chunks`` runs a function over chunks of items, each chunk as many
+items as fit in a fixed budget of graph rows, on the calling thread and
+one more thread per further usable core; training spreads its chunks
+over processes instead (``posecast.workers``). Importing this module
+sets numpy's bundled OpenBLAS to one thread for the whole process.
 
 Elementwise ops broadcast as numpy does, and each gradient is summed back
 over the leading and size-1 axes its operand was broadcast along; matmul
@@ -44,6 +45,7 @@ __all__ = [
     "gradients",
     "CHUNK_ROWS",
     "chunk_size",
+    "chunk_slices",
     "map_chunks",
     "parameter",
     "constant",
@@ -75,11 +77,11 @@ def _usable_cores():
 
 def _tune_allocator():
     """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse,
-    in one arena per chunk thread.
+    in one arena per thread of a ``map_chunks`` call.
 
     Sets M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to
-    256 MiB and M_ARENA_MAX (-8) to one more than the usable cores;
-    returns whether all took. Does nothing without mallopt.
+    256 MiB and M_ARENA_MAX (-8) to the usable cores; returns whether all
+    took. Does nothing without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -92,10 +94,11 @@ def _tune_allocator():
     # map_chunks starts takes over the arena a thread of an earlier call
     # left: in one arena shared by both threads, the heap's high-water mark
     # hangs on how their allocations interleave, so a call now and then
-    # faults in a megabyte of fresh pages. The cap bounds the arenas made
-    # when a new thread starts before an old one has handed its arena back.
+    # faults in a megabyte of fresh pages. A thread that starts before an
+    # old one has handed its arena back shares a warm arena at the cap; one
+    # arena more let it make a cold one, which faulted in about 530 pages.
     return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20),
-                mallopt(-8, 1 + _usable_cores())])
+                mallopt(-8, _usable_cores())])
 
 
 def _pin_openblas():
@@ -205,56 +208,59 @@ def chunk_size(rows):
     return 1 << max(0, (CHUNK_ROWS // rows).bit_length() - 1)
 
 
-def map_chunks(fn, n, rows, fold=None):
-    """``fn`` on each ``chunk_size(rows)``-long slice of ``range(n)``, for
-    items of ``rows`` graph rows each, the calls spread over threads, one
-    per usable core; returns None.
+def chunk_slices(n, rows):
+    """``range(n)`` cut into ``chunk_size(rows)``-long slices, for items of
+    ``rows`` graph rows each."""
+    step = chunk_size(rows)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
-    Each call's result goes to ``fold``, if given, in slice order: as soon
-    as its slice and every earlier one have finished, on the thread that
-    finished the last of them, one fold at a time. No result is kept, so
-    a caller that folds, say, gradients holds about one per thread, not
-    one per slice. No slice after a raising one is folded.
+
+def map_chunks(fn, n, rows):
+    """``fn`` on each ``chunk_slices(n, rows)`` slice, spread over the
+    calling thread and one more thread per further usable core; returns
+    None. Slice i runs on participant i mod P, P the participants, the
+    calling thread first.
 
     A slice's rows fit in CHUNK_ROWS unless one item alone exceeds it; on
     h36m22 at T = K = 10 that is 4 windows, so each call's widest product
     fits a 2 MiB per-core L2 and a training chunk's graph stays a few MiB.
 
     The threads start in this call and have ended when it returns or
-    raises; a raising call raises once every call has ended, the lowest
+    raises; a raising call raises once every slice has run, the lowest
     raising slice's exception. The plain loop runs instead with one
     slice, one usable core, or where the import could not pin OpenBLAS
     to one thread: an idle OpenBLAS worker spins on a core and starves a
     Python thread beside it. Each call of ``fn`` must write only what no
     other call reads or writes.
     """
-    step = chunk_size(rows)
-    slices = [slice(i, i + step) for i in range(0, n, step)]
-    cores = _usable_cores() if len(slices) > 1 and _set_blas_threads is not None else 1
-    if cores < 2:
+    slices = chunk_slices(n, rows)
+    procs = 1
+    if len(slices) > 1 and _set_blas_threads is not None:
+        procs = min(_usable_cores(), len(slices))
+    if procs < 2:
         for s in slices:
-            result = fn(s)
-            if fold is not None:
-                fold(result)
+            fn(s)
         return
-    import concurrent.futures
+    errors = {}
 
-    lock, done, next_fold = threading.Lock(), {}, 0
+    def run(first):
+        for i in range(first, len(slices), procs):
+            try:
+                fn(slices[i])
+            except Exception as exc:
+                errors[i] = exc
 
-    def run(i):
-        nonlocal next_fold
-        result = fn(slices[i])
-        if fold is not None:
-            with lock:                  # fold the finished prefix, in order
-                done[i] = result
-                while next_fold in done:
-                    fold(done.pop(next_fold))
-                    next_fold += 1
-
-    with concurrent.futures.ThreadPoolExecutor(cores, "posecast-chunk") as pool:
-        futures = [pool.submit(run, i) for i in range(len(slices))]
-    for f in futures:
-        f.result()
+    threads = [threading.Thread(target=run, args=(k,), name="posecast-chunk")
+               for k in range(1, procs)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 class Tensor:

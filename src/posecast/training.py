@@ -124,6 +124,15 @@ def _clip_gradients(params, max_norm):
             p.grad *= scale
 
 
+def _chunk(model, params, inputs, targets, scale, preds, rows):
+    """One chunk of a training step: writes its rows of ``preds`` and
+    returns its gradients, its error sum times ``scale`` as the root."""
+    pred = model.forward(inputs[rows]).predictions
+    preds[rows] = pred.values
+    total, _ = _error_sum(pred, targets[rows])
+    return ad.gradients(ad.mul(total, ad.constant(scale)), params)
+
+
 def train(model, windows, config):
     """Minibatch Adam over the window set; returns per-epoch records.
 
@@ -132,17 +141,19 @@ def train(model, windows, config):
     from the config seed.
 
     Each batch runs forward and backward ``ad.chunk_size(model.window_rows)``
-    windows at a time, the chunks through ``ad.map_chunks``, so on several
-    threads at once: windows are independent, so the batch's gradient is
-    the sum of its chunks'. Every chunk takes its gradients in arrays of
-    its own, seeded as the whole batch's loss seeds them, and writes its
-    rows of the batch's predictions; ``map_chunks`` folds its gradients
-    into each parameter's ``grad`` in chunk order as soon as it and every
-    earlier chunk have finished, so a step holds about two chunks'
-    gradients. The ``grad`` arrays are allocated once, before the first
-    step, and every step reuses them. The step's loss is ``mpjpe_loss``
-    of the batch's predictions, taken once, on the calling thread.
+    windows at a time, the chunks spread over the calling process and
+    forked workers by a ``workers.Session``: windows are independent, so
+    the batch's gradient is the sum of its chunks'. Every chunk takes its
+    gradients in arrays of its own, seeded as the whole batch's loss
+    seeds them, and writes its rows of the batch's predictions; the
+    calling process folds them into each parameter's ``grad`` in chunk
+    order, so a step holds a few chunks' gradients, not one set per
+    chunk. The ``grad`` arrays are allocated once, before the first step,
+    and every step reuses them. The step's loss is ``mpjpe_loss`` of the
+    batch's predictions, taken once, on the calling thread.
     """
+    from . import workers               # forks and sockets, for training only
+
     _require_windows(windows, "train")
     params = model.parameters()
     state = AdamState(params)
@@ -151,32 +162,15 @@ def train(model, windows, config):
     log = []
     for p in params:                    # every step folds its gradients into these
         p.grad = np.zeros_like(p.values)
+    session = workers.Session(model, _chunk, config.batch_size)
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= config.lr_decay_factor
         order = rng.permutation(len(windows))
         losses = []
         for start in range(0, len(order), config.batch_size):
-            idx = order[start: start + config.batch_size]
-            inputs, targets = windows.batch(idx)
-            scale = ad.constant(1.0 / math.prod(targets.shape[:-1]))    # 1 / (B*K*V)
-            preds = np.empty(targets.shape)
-
-            def chunk(rows):            # each chunk writes its own rows of preds
-                pred = model.forward(inputs[rows]).predictions
-                preds[rows] = pred.values
-                total, _ = _error_sum(pred, targets[rows])
-                return rows.start, ad.gradients(ad.mul(total, scale), params)
-
-            def fold(result):           # in chunk order: chunk 0's copied, the rest added
-                offset, grads = result
-                for p, g in zip(params, grads):
-                    if offset == 0:
-                        np.copyto(p.grad, g)
-                    else:
-                        p.grad += g
-
-            ad.map_chunks(chunk, len(idx), model.window_rows, fold)
+            inputs, targets = windows.batch(order[start: start + config.batch_size])
+            preds = session.step(inputs, targets, 1.0 / math.prod(targets.shape[:-1]))
             value = mpjpe_loss(ad.constant(preds), targets).item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(block):.6g}"
@@ -214,7 +208,7 @@ def evaluate(model, windows, horizons):
     predicted frame h). ``model.predict``, a ForecastModel's or a baseline's,
     runs on one chunk of windows at a time, sized by the windows'
     ``window_rows``, so a ForecastModel's predict runs it as one slice; the
-    chunks go through ``ad.map_chunks``, so on several threads at once.
+    chunks go through ``ad.map_chunks``, so on every usable core at once.
     Only scored targets are gathered.
     """
     _require_windows(windows, "evaluate")

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -13,6 +14,21 @@ def child_env():
     ``src`` first on PYTHONPATH so that the child imports the same posecast."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_session():
+    """At the end of the session, shut the training workers down, then fail
+    if any child process is left, running or unreaped."""
+    yield
+    from posecast import workers
+
+    workers.shutdown()
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return                              # no child at all
+    pytest.fail(f"a child process outlived the test session (waitpid gave {pid})")
 
 
 def read_operator(path):

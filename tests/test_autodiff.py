@@ -399,9 +399,12 @@ def test_an_h36m22_chunk_takes_its_weight_gradients_in_one_row_block():
 
 
 def test_map_chunks_slices_by_the_rows_per_item():
-    items, folded = range(11), []
-    assert ad.map_chunks(lambda rows: list(items[rows]), 11, 220, folded.append) is None
-    assert folded == [list(range(0, 4)), list(range(4, 8)), list(range(8, 11))]
+    items, seen = range(11), {}
+    assert ad.chunk_slices(11, 220) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    assert ad.map_chunks(lambda rows: seen.update({rows.start: list(items[rows])}),
+                         11, 220) is None
+    assert [seen[k] for k in sorted(seen)] == [list(range(0, 4)), list(range(4, 8)),
+                                               list(range(8, 11))]
 
 
 class TestGraphRelease:

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import resource
 import subprocess
 import sys
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 
 from posecast import autodiff as ad
-from posecast import training
+from posecast import training, workers
 from posecast.autodiff import DimensionError, adam_step
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
-from posecast.model import ModelConfig, build_model
+from posecast.model import ModelConfig, build_model, window_rows
 from posecast.training import (
     NumericalError,
     TrainConfig,
@@ -424,6 +426,196 @@ def test_pooled_predict_after_training_reuses_freed_memory():
                          timeout=120, env=child_env())
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) * resource.getpagesize() < 4 << 20
+
+
+BENCHMARK_MODELS = {  # the benchmark's two skeletons, T = K = 10
+    "chain_8": (8, dict(span=1, max_hop=1, strategy="pseudo_autoregressive")),
+    "h36m22": (22, dict(span=2, max_hop=3, strategy="anchor")),
+}
+
+# sha256 of the parameters after two Adam steps on 42 windows' first B
+# (the cases of TestTrainingWorkers), as the threaded training path of
+# the commit before the workers trained them on a 2-core Xeon with
+# numpy 2.4.6 and its bundled OpenBLAS 0.3.31.
+GOLDEN_TRAINED = {
+    ("chain_8", 32): "b638d312e6025c02cda6e8664e7699c0d9ff6b2792946fa0e901cb96704143b6",
+    ("chain_8", 42): "1f95eee11dbe857e39bab8d39d51c2019342d8c27d36a7bc373612082d9eb787",
+    ("h36m22", 32): "90ec139179f08d0dd75ec27ceaf3d1aa922c3536084d26ef0f813be8553dbe33",
+    ("h36m22", 42): "63a6466a72e35f26e80151f0cd2fbaf92a53c553ea352233779f6c7ced699d23",
+}
+
+# A child's preamble: two usable cores, so that training forks a worker;
+# ``trained(b)`` trains the h36m22 benchmark model for two Adam steps on
+# the first b of 42 windows and returns the sha256 of its parameters.
+WORKER_CHILD = textwrap.dedent("""
+    import hashlib, os, signal, sys
+    from posecast import autodiff as ad
+    from posecast import model as pm
+    from posecast import workers
+    from posecast.data import make_windows, skeleton_preset, synth_kinematic
+    from posecast.training import TrainConfig, train
+
+    ad._usable_cores = lambda: 2
+    windows = make_windows([synth_kinematic(22, 26, period=15, seed=s) for s in range(6)],
+                           t_in=10, k_out=10)
+
+    def trained(b):
+        model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor",
+            refine=True, seed=0))
+        train(model, windows[:b], TrainConfig(epochs=2, batch_size=b, lr_decay_epochs=()))
+        return hashlib.sha256(b"".join(p.values.tobytes() for p in model.parameters())).hexdigest()
+
+    def pids():
+        return [w.pid for w in workers._workers]
+""")
+
+
+def run_worker_child(body):
+    """Run WORKER_CHILD then ``body`` in a fresh process; returns its stdout lines."""
+    run = subprocess.run([sys.executable, "-c", WORKER_CHILD + textwrap.dedent(body)],
+                         capture_output=True, text=True, timeout=120, env=child_env())
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+@pytest.mark.skipif(ad._set_blas_threads is None or not hasattr(os, "memfd_create"),
+                    reason="training runs the plain loop here")
+class TestTrainingWorkers:
+    """Each step's chunk c runs on process c mod P: the caller and P - 1
+    forked workers, with the plain loop's bytes."""
+
+    @pytest.mark.parametrize("b", [2, 7, 32, 42])
+    @pytest.mark.parametrize("skeleton", sorted(BENCHMARK_MODELS))
+    def test_workers_train_the_plain_loops_bytes(self, monkeypatch, skeleton, b):
+        v, kw = BENCHMARK_MODELS[skeleton]
+        windows = make_windows([synth_kinematic(v, 26, period=15, seed=s) for s in range(6)],
+                               t_in=10, k_out=10)
+        assert len(windows) == 42
+
+        def trained(cores):
+            monkeypatch.setattr(ad, "_usable_cores", lambda: cores)
+            model = build_model(skeleton_preset(skeleton), ModelConfig(
+                input_frames=10, output_frames=10, refine=True, seed=0, **kw))
+            train(model, windows[:b], TrainConfig(epochs=2, batch_size=b, lr_decay_epochs=()))
+            return [(p.values.tobytes(), p.grad.tobytes()) for p in model.parameters()]
+
+        with_workers = trained(2)
+        if b > ad.chunk_size(window_rows(10, 10, v)):
+            assert workers._workers, "a step of several chunks forked no worker"
+        assert with_workers == trained(1)
+        digest = hashlib.sha256(b"".join(values for values, _ in with_workers)).hexdigest()
+        assert GOLDEN_TRAINED.get((skeleton, b), digest) == digest
+
+    def test_more_workers_than_cores_and_concurrent_callers_train_the_same_bytes(
+            self, monkeypatch):
+        # Three workers on two cores; then four threads training at once,
+        # switching every microsecond: each step takes the workers or,
+        # while another thread's step holds them, runs the plain loop.
+        windows = make_windows([synth_kinematic(22, 26, period=15, seed=s) for s in range(6)],
+                               t_in=10, k_out=10)
+
+        def trained():
+            model = build_model(skeleton_preset("h36m22"), ModelConfig(
+                input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor",
+                refine=True, seed=0))
+            train(model, windows[:42], TrainConfig(epochs=2, batch_size=42,
+                                                   lr_decay_epochs=()))
+            params = b"".join(p.values.tobytes() for p in model.parameters())
+            return hashlib.sha256(params).hexdigest()
+
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
+        assert trained() == GOLDEN_TRAINED["h36m22", 42]
+        assert len(workers._workers) == 3
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(trained()))
+                       for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [GOLDEN_TRAINED["h36m22", 42]] * 4
+
+    def test_an_exiting_process_leaves_no_worker_behind(self):
+        out = run_worker_child("""
+            trained(32)
+            print(*pids())
+        """)
+        pids = [int(pid) for pid in out[-1].split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_killed_worker_fails_one_call_and_the_next_forks_another(self):
+        out = run_worker_child("""
+            first = trained(32)
+            [pid] = pids()
+            os.kill(pid, signal.SIGKILL)
+            try:
+                trained(32)
+            except RuntimeError as exc:
+                print(exc)
+            print(trained(32) == first, pid not in pids(), len(pids()))
+            ad._usable_cores = lambda: 1
+            print(trained(32) == first)
+        """)
+        error, pid = out[0], out[0].split()[2]
+        assert error == f"training worker {pid} was killed by signal 9 (SIGKILL)"
+        assert out[1:] == ["True True 1", "True"]
+
+    def test_a_chunk_raising_in_a_worker_raises_its_error_in_the_caller(self):
+        # The worker's first chunk raises; then the caller's second chunk
+        # of a step raises KeyboardInterrupt. Each call raises its error,
+        # and the same worker then trains the plain loop's bytes.
+        out = run_worker_child("""
+            from posecast.autodiff import DimensionError
+
+            caller, failed, countdown = os.getpid(), [], []
+            forward = pm.ForecastModel.forward
+
+            def failing(self, x):
+                if os.getpid() != caller and not failed:
+                    failed.append(True)
+                    raise DimensionError(f"a chunk of {len(x)} windows failed")
+                if os.getpid() == caller and countdown and countdown.pop() == 1:
+                    raise KeyboardInterrupt("interrupted")
+                return forward(self, x)
+
+            pm.ForecastModel.forward = failing      # before the worker is forked
+            for interrupt in ([], [1, 2]):
+                countdown += interrupt
+                try:
+                    trained(32)
+                except (DimensionError, KeyboardInterrupt) as exc:
+                    print(type(exc).__name__, exc, len(pids()))
+            worker = pids()
+            print(trained(32), pids() == worker)
+        """)
+        assert out == ["DimensionError a chunk of 4 windows failed 1",
+                       "KeyboardInterrupt interrupted 1",
+                       f"{GOLDEN_TRAINED['h36m22', 32]} True"]
+
+    def test_a_child_forked_after_training_trains_with_a_worker_of_its_own(self):
+        out = run_worker_child("""
+            first, parent_workers = trained(32), pids()
+            child = os.fork()
+            if child == 0:
+                ok = pids() == [] and trained(32) == first and len(pids()) == 1
+                ok = ok and pids() != parent_workers
+                workers.shutdown()              # os._exit skips atexit
+                os._exit(0 if ok else 1)
+            print(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]), pids() == parent_workers)
+            print(trained(32) == first)
+        """)
+        assert out == ["0 True", "True"]
 
 
 class TestEvaluate:
