@@ -7,19 +7,19 @@ graph node), and is a plain tensor otherwise. ``backward()`` on a scalar
 root walks the recorded graph once in reverse topological order and
 accumulates gradients into tensors created with ``requires_grad=True``;
 ``gradients(root, params)`` makes the same walk but returns the
-parameters' gradients in arrays of its own, so threads may each walk a
-graph over the same parameters. Constants never receive gradients, and
-no closure computes a gradient for an input that cannot pass one on.
+parameters' gradients in arrays of its own, so a batch's chunks may each
+walk a graph over the same parameters. Constants never receive
+gradients, and no closure computes a gradient for an input that cannot
+pass one on.
 
 The walk releases the graph as it goes, so a graph is walked once; a
 second ``backward()`` through it raises ``GraphReleasedError``. Inside
 ``with no_grad():`` operations record nothing at all; the block holds
 for the thread that entered it, and every other thread keeps recording.
-``map_chunks`` runs a function over chunks of items, each chunk as many
-items as fit in a fixed budget of graph rows, on the calling thread and
-one more thread per further usable core; training spreads its chunks
-over processes instead (``posecast.workers``). Importing this module
-sets numpy's bundled OpenBLAS to one thread for the whole process.
+``chunk_slices`` cuts a batch into chunks, each as many items as fit in
+a fixed budget of graph rows; ``posecast.workers`` spreads the chunks
+over processes. Importing this module sets numpy's bundled OpenBLAS to
+one thread for the whole process.
 
 Elementwise ops broadcast as numpy does, and each gradient is summed back
 over the leading and size-1 axes its operand was broadcast along; matmul
@@ -46,7 +46,6 @@ __all__ = [
     "CHUNK_ROWS",
     "chunk_size",
     "chunk_slices",
-    "map_chunks",
     "parameter",
     "constant",
     "matmul",
@@ -76,12 +75,10 @@ def _usable_cores():
 
 
 def _tune_allocator():
-    """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse,
-    in one arena per thread of a ``map_chunks`` call.
+    """Have glibc's malloc keep freed blocks of up to 32 MiB for reuse.
 
-    Sets M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to
-    256 MiB and M_ARENA_MAX (-8) to the usable cores; returns whether all
-    took. Does nothing without mallopt.
+    Sets M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to
+    256 MiB; returns whether both took. Does nothing without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -90,24 +87,17 @@ def _tune_allocator():
     except (OSError, AttributeError, TypeError):
         return False
     # By default every large temporary is a fresh mmap, zeroed and faulted
-    # in page by page on each step, then unmapped on free. Each thread that
-    # map_chunks starts takes over the arena a thread of an earlier call
-    # left: in one arena shared by both threads, the heap's high-water mark
-    # hangs on how their allocations interleave, so a call now and then
-    # faults in a megabyte of fresh pages. A thread that starts before an
-    # old one has handed its arena back shares a warm arena at the cap; one
-    # arena more let it make a cold one, which faulted in about 530 pages.
-    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20),
-                mallopt(-8, _usable_cores())])
+    # in page by page on each step, then unmapped on free.
+    return all([mallopt(-3, 32 << 20), mallopt(-1, 256 << 20)])
 
 
 def _pin_openblas():
     """Set numpy's bundled OpenBLAS to one thread for the whole process;
     return its thread-count setter, or None where numpy bundles none.
 
-    Chunk threads need the pin, as an idle OpenBLAS worker spins on a core
-    and starves a Python thread beside it; outside the chunks more threads
-    gain little.
+    The chunk workers need the pin: they run a process per core, and an
+    idle OpenBLAS thread spins on a core rather than sleeps, starving
+    whatever runs beside it. Outside the chunks more threads gain little.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     names = os.listdir(libs) if os.path.isdir(libs) else []
@@ -190,7 +180,7 @@ def gradients(root, params):
     return [sink.get(p) for p in params]
 
 
-# Graph rows per call of map_chunks' fn. A window's augmented graph has
+# Graph rows per chunk of a batch. A window's augmented graph has
 # max(T, K)*V rows, and a chunk's work and temporaries grow with its rows,
 # not its window count. 1,280 rows are exactly 16 chain_8 windows, so
 # chain_8 keeps the 16-window chunk (at 8, its per-chunk overhead cost it
@@ -213,54 +203,6 @@ def chunk_slices(n, rows):
     ``rows`` graph rows each."""
     step = chunk_size(rows)
     return [slice(i, i + step) for i in range(0, n, step)]
-
-
-def map_chunks(fn, n, rows):
-    """``fn`` on each ``chunk_slices(n, rows)`` slice, spread over the
-    calling thread and one more thread per further usable core; returns
-    None. Slice i runs on participant i mod P, P the participants, the
-    calling thread first.
-
-    A slice's rows fit in CHUNK_ROWS unless one item alone exceeds it; on
-    h36m22 at T = K = 10 that is 4 windows, so each call's widest product
-    fits a 2 MiB per-core L2 and a training chunk's graph stays a few MiB.
-
-    The threads start in this call and have ended when it returns or
-    raises; a raising call raises once every slice has run, the lowest
-    raising slice's exception. The plain loop runs instead with one
-    slice, one usable core, or where the import could not pin OpenBLAS
-    to one thread: an idle OpenBLAS worker spins on a core and starves a
-    Python thread beside it. Each call of ``fn`` must write only what no
-    other call reads or writes.
-    """
-    slices = chunk_slices(n, rows)
-    procs = 1
-    if len(slices) > 1 and _set_blas_threads is not None:
-        procs = min(_usable_cores(), len(slices))
-    if procs < 2:
-        for s in slices:
-            fn(s)
-        return
-    errors = {}
-
-    def run(first):
-        for i in range(first, len(slices), procs):
-            try:
-                fn(slices[i])
-            except Exception as exc:
-                errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(k,), name="posecast-chunk")
-               for k in range(1, procs)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
 
 
 class Tensor:

@@ -221,25 +221,30 @@ class ForecastModel:
         return attn.anchor_combination(weights, anchors)
 
     def predict(self, x):
-        """Forward pass without recording a graph; returns plain arrays.
+        """Forward pass without recording a graph; returns a new array.
 
-        Runs ``ad.chunk_size(self.window_rows)`` windows at a time, the
-        chunks through ``ad.map_chunks``: 4 at a time on h36m22 at
-        T = K = 10, whose widest stacked product, [880, 256] float64, then
-        fits a 2 MiB per-core L2. Each chunk writes its own rows of the one
-        [len(x), K, V, 3] result. The chunk, fixed by T, K and V, makes the
-        result independent of the core count.
+        Runs ``ad.chunk_size(self.window_rows)`` windows at a time: 4 on
+        h36m22 at T = K = 10, whose widest stacked product, [880, 256]
+        float64, then fits a 2 MiB per-core L2. One chunk runs here; the
+        chunks of a larger call are spread over this process and the
+        forked workers by a ``workers.Session``, each writing its own
+        rows of the [len(x), K, V, 3] result. The chunk, fixed by T, K
+        and V, makes the result independent of the core count.
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        out = np.empty((len(x), self.config.output_frames, self.joint_count, 3))
+        if len(x) > ad.chunk_size(self.window_rows):
+            from . import workers           # forks and sockets, imported where used
+            return workers.Session(self, _predict_chunk, len(x)).step(x, None)
+        preds = np.empty((len(x), self.config.output_frames, self.joint_count, 3))
+        _predict_chunk(self, x, None, preds, slice(None))
+        return preds
 
-        def chunk(rows):
-            with ad.no_grad():
-                out[rows] = self.forward(x[rows]).predictions.values
 
-        ad.map_chunks(chunk, len(x), self.window_rows)
-        return out
+def _predict_chunk(model, inputs, targets, preds, rows):
+    """One chunk of ``predict``: writes its rows of ``preds``, with no graph."""
+    with ad.no_grad():
+        preds[rows] = model.forward(inputs[rows]).predictions.values
 
 
 def window_rows(t, k, v):

@@ -1,18 +1,22 @@
-"""Training chunks on the calling process and persistent forked workers.
+"""Chunks of train, predict and evaluate on the calling process and
+persistent forked workers.
 
-A training step's chunk c runs on process c mod P, P the usable cores:
-the calling process takes chunks 0, P, 2P, ... and P - 1 forked workers
+A call's chunk c runs on process c mod P, P the usable cores: the
+calling process takes chunks 0, P, 2P, ... and P - 1 forked workers
 take the rest. Processes do not share an interpreter lock, so their
 chunks run side by side where two chunk threads would take turns.
 
-Every ``train`` call opens a ``Session``. Its ``step`` writes the
-parameters and the batch into one shared region; each worker copies the
-parameters into a model of its own, writes its chunks' rows of the
-predictions into the region, and writes each chunk's gradients into one
-of its ``SLOTS`` gradient slots there. The caller folds every chunk's
-gradients into ``p.grad`` in chunk order, chunk 0's copied and the rest
-added, so the sums and their bytes are those of the plain loop. Only a
-few bytes of control cross each worker's socket; no array is pickled.
+``train`` opens a ``Session`` per call, and ``ForecastModel.predict``
+one per call of several chunks. A ``step`` writes the parameters and
+the batch into one shared region; each worker copies the parameters
+into a model of its own, kept while the model's class, skeleton and
+config stay the same, and writes its chunks' rows of the predictions
+into the region. A training chunk also writes its gradients into one of
+the worker's ``SLOTS`` gradient slots there, and the caller folds every
+chunk's gradients into ``p.grad`` in chunk order, chunk 0's copied and
+the rest added, so the sums and their bytes are those of the plain
+loop. Only a few bytes of control cross each worker's socket; no array
+is pickled.
 
 Workers are forked at the first step with more than one chunk and kept
 for the life of the process, as is the region while it is large enough:
@@ -26,7 +30,6 @@ other forked child drops the handles it inherits.
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import mmap
 import os
@@ -50,7 +53,7 @@ class _Region:
     """A float64 array over a memfd that the workers map too."""
 
     def __init__(self, size):
-        self.fd = os.memfd_create("posecast-train", os.MFD_CLOEXEC)
+        self.fd = os.memfd_create("posecast-chunks", os.MFD_CLOEXEC)
         os.ftruncate(self.fd, 8 * size)
         self.flat = np.frombuffer(mmap.mmap(self.fd, 8 * size), np.float64)
 
@@ -79,7 +82,7 @@ class _Worker:
                 os._exit(code)
         theirs.close()
         self.sock = mine
-        self.region = self.session = None   # the region and session it was last sent
+        self.region = self.session = None   # the region and session setup it was last sent
         self.slots = None                   # the caller's views of its gradient slots
         self.owed = 0                       # messages it has still to send this step
 
@@ -91,7 +94,7 @@ class _Worker:
 
     def collect(self):
         """Wait for the worker's next chunk; return the slot its gradients
-        are in, or raise the chunk's exception."""
+        are in (None for a chunk without), or raise the chunk's exception."""
         try:
             data = self.sock.recv(_MESSAGE)
         except OSError:
@@ -109,7 +112,9 @@ class _Worker:
         slot, so that it waits for the next step."""
         while self.owed:
             try:
-                self.send(("free", self.collect()))
+                slot = self.collect()
+                if slot is not None:
+                    self.send(("free", slot))
             except Exception:
                 pass                # an error ends its step; a death discards it
 
@@ -121,7 +126,7 @@ class _Worker:
             how = f"was killed by signal {sig} ({signal.Signals(sig).name})"
         else:
             how = f"exited with status {os.waitstatus_to_exitcode(status)}"
-        return RuntimeError(f"training worker {self.pid} {how}")
+        return RuntimeError(f"chunk worker {self.pid} {how}")
 
     def discard(self):
         """Close the socket, then kill and reap the worker; returns its wait status."""
@@ -139,7 +144,6 @@ class _Worker:
 _workers = []                   # live workers, in fork order
 _region = None                  # the shared region, kept while large enough
 _lock = threading.Lock()        # held by the step that uses the workers
-_tokens = itertools.count()     # session identities
 
 
 def shutdown():
@@ -203,28 +207,31 @@ def _carve(flat, at, shapes):
 class _Job:
     """A worker's side of one session."""
 
-    def __init__(self, flat, chunk, cls, skeleton, config, batch, slots_at):
-        self.chunk, self.model = chunk, cls(skeleton, config)
-        self.params = self.model.parameters()
-        views = _carve(flat, 0, _shapes(self.model, batch))
+    def __init__(self, flat, model, chunk, batch, slots_at):
+        self.model, self.chunk = model, chunk
+        self.params = model.parameters()
+        views = _carve(flat, 0, _shapes(model, batch))
         self.shared, self.arrays = views[:-3], views[-3:]
         size = sum(p.values.size for p in self.params)
         self.slots = [_carve(flat, slots_at + s * size, [p.shape for p in self.params])
                       for s in range(SLOTS)]
 
-    def step(self, sock, free, n, first, stride, scale):
+    def step(self, sock, free, n, first, stride, with_targets):
         """Run chunks first, first + stride, ... of an n-window batch."""
         for p, shared in zip(self.params, self.shared):
             np.copyto(p.values, shared)
         inputs, targets, preds = (a[:n] for a in self.arrays)
+        targets = targets if with_targets else None
         slices = ad.chunk_slices(n, self.model.window_rows)
         for k, c in enumerate(range(first, len(slices), stride)):
             try:
-                grads = self.chunk(self.model, self.params, inputs, targets, scale,
-                                   preds, slices[c])
+                grads = self.chunk(self.model, inputs, targets, preds, slices[c])
             except Exception as exc:
                 sock.send(pickle.dumps(("error", _portable(exc))))
                 return
+            if grads is None:
+                sock.send(pickle.dumps(("done", None)))
+                continue
             s = k % SLOTS
             while not free[s]:          # only frees arrive during a step
                 free[_receive(sock)[0][1]] = True
@@ -244,7 +251,7 @@ def _receive(sock):
 def _serve(sock):
     """A worker's loop: act on each message until the socket closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    flat = job = None
+    flat = job = model = None
     free = [True] * SLOTS
     while True:
         message, fds = _receive(sock)
@@ -253,8 +260,12 @@ def _serve(sock):
             flat = np.frombuffer(mmap.mmap(fds[0], message[1]), np.float64)
             os.close(fds[0])
         elif kind == "session":
-            job = None                  # free the last session's model first
-            job = _Job(flat, *message[1:])
+            chunk, cls, skeleton, config, batch, at = message[1:]
+            if model is None or (type(model), model.skeleton, model.config) != (
+                    cls, skeleton, config):
+                job = model = None      # free the last model first
+                model = cls(skeleton, config)
+            job = _Job(flat, model, chunk, batch, at)
         elif kind == "free":
             free[message[1]] = True
         else:
@@ -275,17 +286,18 @@ def _settle(crew):
 
 
 class Session:
-    """One ``train`` call's use of the workers.
+    """One ``train`` or ``predict`` call's use of the workers.
 
-    ``step(inputs, targets, scale)`` calls ``chunk(model, params, inputs,
-    targets, scale, preds, rows)`` for each ``ad.chunk_slices`` slice of
-    the batch: a call writes its rows of ``preds`` and returns its
-    gradients, one array per parameter. The step folds them into each
-    parameter's ``grad`` in chunk order and returns ``preds``. A raising
-    chunk's exception is raised, the lowest chunk's if several raise,
-    once the workers have finished the step; a worker that dies raises a
-    RuntimeError naming its pid and signal, and the next step forks
-    another.
+    ``step(inputs, targets)`` calls ``chunk(model, inputs, targets,
+    preds, rows)`` for each ``ad.chunk_slices`` slice of the batch: a
+    call writes its rows of ``preds`` and returns its gradients, one
+    array per parameter, or None; ``targets`` is None for chunks that
+    read none. The step folds the gradients into each parameter's
+    ``grad`` in chunk order and returns ``preds``, an array of its own.
+    A raising chunk's exception is raised, the lowest chunk's if several
+    raise, once the workers have finished the step; a worker that dies
+    raises a RuntimeError naming its pid and signal, and the next step
+    forks another.
 
     The plain loop runs in the caller, with the same bytes, for a step of
     one chunk, with one usable core, where the import could not pin
@@ -295,56 +307,55 @@ class Session:
     """
 
     def __init__(self, model, chunk, batch):
-        self.model, self.chunk, self.batch = model, chunk, batch
+        self.model, self.chunk = model, chunk
         self.params = model.parameters()
         self.size = sum(p.values.size for p in self.params)
         self.shapes = _shapes(model, batch)
         self.slots_at = sum(math.prod(s) for s in self.shapes)
         self.setup = (chunk, type(model), model.skeleton, model.config, batch)
-        self.token = next(_tokens)
         self.region = None
 
-    def step(self, inputs, targets, scale):
+    def step(self, inputs, targets):
         slices = ad.chunk_slices(len(inputs), self.model.window_rows)
         lock = _lock
         if lock.acquire(blocking=False):
             try:
                 crew = self._crew(len(slices))
                 if crew:
-                    return self._spread(crew, slices, inputs, targets, scale)
+                    return self._spread(crew, slices, inputs, targets)
             finally:
                 lock.release()
-        preds = np.empty(targets.shape)
+        preds = np.empty((len(inputs), *self.shapes[-1][1:]))
         for i, rows in enumerate(slices):
-            self._fold(i, self.chunk(self.model, self.params, inputs, targets, scale,
-                                     preds, rows))
+            self._fold(i, self.chunk(self.model, inputs, targets, preds, rows))
         return preds
 
-    def _spread(self, crew, slices, inputs, targets, scale):
+    def _spread(self, crew, slices, inputs, targets):
         """The step on the caller and ``crew``: chunk c on process c mod P."""
         n = len(inputs)
         for shared, p in zip(self.shared, self.params):
             np.copyto(shared, p.values)
         shared_in, shared_out, preds = (a[:n] for a in self.arrays)
         np.copyto(shared_in, inputs)
-        np.copyto(shared_out, targets)
+        if targets is not None:
+            np.copyto(shared_out, targets)
         procs = len(crew) + 1
         try:
             for w, worker in enumerate(crew, 1):
                 worker.owed = len(range(w, len(slices), procs))
-                worker.send(("step", n, w, procs, scale))
+                worker.send(("step", n, w, procs, targets is not None))
             for i, rows in enumerate(slices):
                 if i % procs == 0:
-                    self._fold(i, self.chunk(self.model, self.params, shared_in, shared_out,
-                                             scale, preds, rows))
+                    self._fold(i, self.chunk(self.model, inputs, targets, preds, rows))
                 else:
                     worker = crew[i % procs - 1]
                     slot = worker.collect()
-                    self._fold(i, worker.slots[slot])
-                    worker.send(("free", slot))
+                    if slot is not None:
+                        self._fold(i, worker.slots[slot])
+                        worker.send(("free", slot))
         finally:
             _settle(crew)
-        return preds
+        return preds.copy()             # the region is the next step's
 
     def _crew(self, chunks):
         """The workers that take a share of a step of ``chunks`` chunks,
@@ -359,7 +370,7 @@ class Session:
                    and threading.active_count() == 1):
                 _workers.append(_Worker())
         except OSError:
-            pass                            # no fork now: train with the workers there are
+            pass                            # no fork now: run with the workers there are
         crew = _workers[:want]
         if crew:
             self._attach(crew)
@@ -381,13 +392,15 @@ class Session:
                 worker.send(("region", _region.flat.nbytes), [_region.fd])
                 worker.region, worker.session = _region, None
             at = self.slots_at + w * SLOTS * self.size
-            if worker.session != (self.token, at):
+            if worker.session != (self.setup, at):
                 worker.send(("session", *self.setup, at))
-                worker.session = (self.token, at)
+                worker.session = (self.setup, at)
                 worker.slots = [_carve(_region.flat, at + s * self.size, self.shapes[:-3])
                                 for s in range(SLOTS)]
 
     def _fold(self, i, grads):
+        if grads is None:
+            return
         for p, g in zip(self.params, grads):
             if i == 0:
                 np.copyto(p.grad, g)

@@ -18,7 +18,7 @@ def child_env():
 
 @pytest.fixture(scope="session", autouse=True)
 def no_child_process_outlives_the_session():
-    """At the end of the session, shut the training workers down, then fail
+    """At the end of the session, shut the chunk workers down, then fail
     if any child process is left, running or unreaped."""
     yield
     from posecast import workers

@@ -398,13 +398,13 @@ def test_an_h36m22_chunk_takes_its_weight_gradients_in_one_row_block():
     assert ad.chunk_size(220) * 220 <= ad._ROW_BLOCK
 
 
-def test_map_chunks_slices_by_the_rows_per_item():
-    items, seen = range(11), {}
-    assert ad.chunk_slices(11, 220) == [slice(0, 4), slice(4, 8), slice(8, 12)]
-    assert ad.map_chunks(lambda rows: seen.update({rows.start: list(items[rows])}),
-                         11, 220) is None
-    assert [seen[k] for k in sorted(seen)] == [list(range(0, 4)), list(range(4, 8)),
-                                               list(range(8, 11))]
+def test_chunk_slices_cut_by_the_rows_per_item():
+    items = range(11)
+    slices = ad.chunk_slices(11, 220)
+    assert slices == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    assert [list(items[rows]) for rows in slices] == [list(range(0, 4)), list(range(4, 8)),
+                                                      list(range(8, 11))]
+    assert ad.chunk_slices(0, 220) == []
 
 
 class TestGraphRelease:

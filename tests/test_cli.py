@@ -16,7 +16,7 @@ from posecast.data import (PoseSequence, load_sequences, make_windows, save_sequ
                            skeleton_preset, synth_kinematic)
 from posecast.model import (ForecastModel, ModelConfig, build_model, load_checkpoint,
                             save_checkpoint)
-from posecast.training import TrainConfig, check_horizons, evaluate
+from posecast.training import EVAL_CHUNKS, TrainConfig, check_horizons, evaluate
 
 from conftest import child_env, read_operator
 
@@ -236,7 +236,8 @@ def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset,
     config["train"]["epochs"] = 1
     config["train"]["lr_decay_epochs"] = []
     path.write_text(yaml.safe_dump(config))
-    # Two sequences of n + 14 frames give 2n + 16 windows: three chunks per cell.
+    # Two sequences of n + 14 frames give 2n + 16 windows: three chunks, in
+    # one evaluate block, per cell.
     n = ad.chunk_size(build_model(skeleton_preset("chain_4"),
                                   ModelConfig(**config["model"])).window_rows)
     save_sequences(dataset, [synth_kinematic(4, frames=n + 14, period=6, seed=s)
@@ -249,7 +250,7 @@ def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset,
                      "--horizon", "2"]) == 0
     windows = make_windows(load_sequences(dataset), 4, 3)
     assert sum(predicted) == 2 * len(windows)
-    assert len(predicted) == 2 * 3 == 2 * -(-len(windows) // n)
+    assert len(predicted) == 2 == 2 * -(-len(windows) // (EVAL_CHUNKS * n))
     rows = capsys.readouterr().out.splitlines()
     cell = tmp_path / "run" / "L1D0"
     # The report holds the config's horizons only; the printed error is

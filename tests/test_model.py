@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import re
 import struct
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from posecast import autodiff as ad
 from posecast import model as pm
+from posecast import workers
 from posecast.autodiff import DimensionError
 from posecast.data import make_windows, skeleton_preset, synth_kinematic
 from posecast.model import (
@@ -717,9 +719,9 @@ def benchmark_model(skeleton):
 @pytest.fixture
 def openblas(monkeypatch):
     """The OpenBLAS thread-count setter the import pinned the count with,
-    the count back at one after the test, and map_chunks told there are
+    the count back at one after the test, and the workers told there are
     two usable cores; skips where the import found no OpenBLAS to pin, as
-    map_chunks then starts no thread."""
+    every call then runs the plain loop."""
     if ad._set_blas_threads is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread setter")
     monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
@@ -727,98 +729,112 @@ def openblas(monkeypatch):
     ad._set_blas_threads(1)
 
 
+needs_memfd = pytest.mark.skipif(not hasattr(os, "memfd_create"),
+                                 reason="chunks run in the plain loop here")
+
+
+def pid_chunk(model, inputs, targets, preds, rows):
+    """A chunk that writes the id of the process it runs on into its rows."""
+    preds[rows] = os.getpid()
+
+
+def failing_chunk(model, inputs, targets, preds, rows):
+    """``predict``'s chunk, except that chunks 2 and 3 of a call raise."""
+    i = rows.start // ad.chunk_size(model.window_rows)
+    if i in (2, 3):
+        raise DimensionError(f"chunk {i}")
+    pm._predict_chunk(model, inputs, targets, preds, rows)
+
+
 class TestChunkPool:
+    @needs_memfd
     @pytest.mark.parametrize("skeleton", sorted(BENCHMARK_MODELS))
     def test_parallel_predict_is_bit_identical_to_serial(self, skeleton, openblas, monkeypatch):
         model = benchmark_model(skeleton)
         n = ad.chunk_size(model.window_rows)            # 16 on chain_8, 4 on h36m22
         x = np.random.default_rng(13).normal(size=(4 * n + 5, 10, model.joint_count, 3))
-        forward, ran_on = model.forward, []
+        forward, here = model.forward, []
 
         def spy(chunk):
             out = forward(chunk)
             assert out.predictions._backward is None        # each chunk under no_grad
-            ran_on.append(threading.current_thread())
+            here.append(len(chunk))
             return out
 
         model.forward = spy
-        sizes = (1, n - 1, n, n + 1, 4 * n + 5)
-        parallel = {b: model.predict(x[:b]).tobytes() for b in sizes}
-        # A single chunk ran on the calling thread; the chunks of each
-        # multi-chunk batch on at least two threads, none left running.
-        assert len(ran_on) == sum(-(-b // n) for b in sizes)
-        assert set(ran_on[:3]) == {threading.main_thread()}
-        assert len(set(ran_on[3:5])) == 2 and len(set(ran_on[5:])) >= 2
-        assert not any(t.is_alive() for t in ran_on if t is not threading.main_thread())
+        parallel = {}
+        for b in (1, n - 1, n, n + 1, 4 * n + 5):
+            here.clear()
+            parallel[b] = model.predict(x[-b:])
+            chunks = -(-b // n)
+            assert len(here) == -(-chunks // 2), b          # chunks 0, 2, 4, ... ran here
+        # A worker ran the other chunks, in a predict session.
+        assert workers._workers[0].session[0][0] is pm._predict_chunk
+        # Each result is an array of its own: a call of the same size on
+        # other windows leaves it alone.
+        model.predict(x[::-1])
         monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
         for b, out in parallel.items():
-            assert model.predict(x[:b]).tobytes() == out, b
+            assert model.predict(x[-b:]).tobytes() == out.tobytes(), b
 
+    @needs_memfd
     def test_a_raising_chunk_waits_for_the_others(self, openblas):
-        finished = []
+        # This process's chunk 0 raises. The call collects the worker's
+        # chunk first, so the worker owes nothing and serves the next call.
+        model = benchmark_model("h36m22")
+        x = np.random.default_rng(16).normal(size=(9, 10, 22, 3))      # three chunks
+        expected = model.predict(x).tobytes()
+        crew = list(workers._workers)
 
-        def chunk(rows):
-            if rows.start == 0:
-                raise DimensionError("chunk 0")
-            time.sleep(0.2)
-            finished.append(rows.start)
+        def failing(chunk):
+            raise DimensionError("chunk 0")
 
+        model.forward = failing
         with pytest.raises(DimensionError, match="chunk 0"):
-            ad.map_chunks(chunk, 2, ad.CHUNK_ROWS)          # one item per chunk
-        assert finished == [1]
+            model.predict(x)
+        assert workers._workers == crew and all(w.owed == 0 for w in crew)
+        del model.forward
+        assert model.predict(x).tobytes() == expected
 
-    def test_the_first_raising_slice_raises(self, openblas):
-        # Slice 2 raises first, slice 1 later; slice 1's error is raised,
-        # once every slice has run.
-        ran = []
+    @needs_memfd
+    def test_the_first_raising_slice_raises(self, openblas, monkeypatch):
+        # Chunk 2 raises here and chunk 3 on the worker: chunk 2's error is
+        # raised once the worker's is collected, and the next call runs.
+        model = benchmark_model("h36m22")
+        x = np.random.default_rng(17).normal(size=(20, 10, 22, 3))     # five chunks
+        with pytest.raises(DimensionError, match="chunk 2"):
+            workers.Session(model, failing_chunk, len(x)).step(x, None)
+        assert all(w.owed == 0 for w in workers._workers)
+        after = model.predict(x).tobytes()
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        assert model.predict(x).tobytes() == after
 
-        def chunk(rows):
-            i = rows.start
-            ran.append(i)
-            if i == 1:
-                time.sleep(0.2)
-            if i in (1, 2):
-                raise DimensionError(f"chunk {i}")
-
-        with pytest.raises(DimensionError, match="chunk 1"):
-            ad.map_chunks(chunk, 4, ad.CHUNK_ROWS)          # one item per chunk
-        assert sorted(ran) == [0, 1, 2, 3]
-
-    def test_every_slice_runs_once_under_thread_switching(self, openblas, monkeypatch):
-        # More threads than cores, switching every microsecond: slice i
-        # runs once, on participant i mod 4, the calling thread first.
+    @needs_memfd
+    def test_slice_i_runs_on_process_i_mod_p(self, openblas, monkeypatch):
+        # Four usable cores: this process runs chunks 0, 4, 8, ... and
+        # three workers the rest, worker w chunks w, w + 4, ...
         monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
-        ran = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ad.map_chunks(lambda rows: ran.append((rows.start, threading.current_thread())),
-                          200, ad.CHUNK_ROWS)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(i for i, _ in ran) == list(range(200))
-        threads = {i: t for i, t in ran}
-        assert all(threads[i] is threads[i % 4] for i in range(200))
-        assert threads[0] is threading.main_thread() and len(set(threads.values())) == 4
+        model = benchmark_model("chain_8")
+        n = ad.chunk_size(model.window_rows)
+        ran_on = workers.Session(model, pid_chunk, 40 * n).step(np.zeros((40 * n, 10, 8, 3)),
+                                                                 None)
+        pids = [os.getpid()] + [w.pid for w in workers._workers[:3]]
+        assert len(set(pids)) == 4
+        for i in range(40):
+            assert (ran_on[i * n: (i + 1) * n] == pids[i % 4]).all(), i
 
-    def test_no_thread_outlives_a_call(self, openblas):
+    def test_no_thread_outlives_a_call(self, openblas, monkeypatch):
+        # Chunks run on processes: predict and evaluate start no thread.
         model = benchmark_model("chain_8")
         n = ad.chunk_size(model.window_rows)
         windows = make_windows([synth_kinematic(8, 3 * n + 19, 8)], 10, 10)
-        forward, ran_on = model.forward, set()
 
-        def spy(chunk):
-            ran_on.add(threading.current_thread())
-            return forward(chunk)
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
 
-        model.forward = spy
-        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         model.predict(windows.inputs)
-        assert threading.active_count() == before
         evaluate(model, windows, [1, 10])
-        assert threading.active_count() == before
-        assert len(ran_on) >= 2
-        assert not any(t.is_alive() for t in ran_on if t is not threading.main_thread())
 
     def test_empty_batch_keeps_its_shape_and_checks_it(self):
         model = benchmark_model("chain_8")
@@ -827,32 +843,10 @@ class TestChunkPool:
             with pytest.raises(DimensionError, match="does not match"):
                 model.predict(np.zeros(shape))
 
-    def test_forked_child_runs_chunks_on_threads(self, openblas):
-        # The parent ran chunks on threads before the fork; the child,
-        # which holds only the forking thread, starts threads of its own.
-        child = textwrap.dedent("""
-            import os, threading
-            from posecast import autodiff as ad
-
-            ad._usable_cores = lambda: 2
-            ad.map_chunks(lambda rows: None, 2, ad.CHUNK_ROWS)
-            pid = os.fork()
-            if pid == 0:
-                ran_on = []
-                ad.map_chunks(lambda rows: ran_on.append(threading.current_thread()), 2,
-                              ad.CHUNK_ROWS)
-                alive = [t.is_alive() for t in ran_on if t is not threading.main_thread()]
-                os._exit(0 if len(set(ran_on)) == 2 and alive == [False] else 1)
-            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        """)
-        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                             text=True, timeout=60, env=child_env())
-        assert run.returncode == 0, run.stderr
-        assert run.stdout == "0\n", "the forked child ran its chunks on one thread"
-
     def test_concurrent_callers_agree(self, openblas):
         # More callers than cores, switching threads every microsecond:
-        # each caller starts threads of its own.
+        # each call takes the workers or, while another call holds them,
+        # runs the plain loop.
         model = benchmark_model("chain_8")
         n = ad.chunk_size(model.window_rows)
         x = np.random.default_rng(14).normal(size=(2 * n + 3, 10, 8, 3))
@@ -873,6 +867,7 @@ class TestChunkPool:
         assert results == [expected] * 4
 
     def test_single_chunk_starts_no_thread(self):
+        # A call of one chunk runs in the plain loop and imports no workers.
         child = textwrap.dedent("""
             import sys, threading
             import numpy as np
@@ -891,6 +886,7 @@ class TestChunkPool:
                 model.predict(np.zeros((b, 3, 4, 3)))
             evaluate(model, make_windows([synth_kinematic(4, 20, 8)], 3, 2), [1, 2])
             assert "concurrent.futures" not in sys.modules
+            assert "posecast.workers" not in sys.modules
             assert threading.active_count() == 1
         """)
         run = subprocess.run([sys.executable, "-c", child], capture_output=True,

@@ -184,7 +184,7 @@ class TestTrainLoop:
 
 
 class TestChunkedSteps:
-    """Each step runs chunk_size(window_rows)-window micro-batches through map_chunks."""
+    """Each step runs chunk_size(window_rows)-window micro-batches on the caller and the workers."""
 
     def test_step_loss_is_the_batch_mpjpe_taken_once_on_the_calling_thread(self, monkeypatch):
         # The benchmark reads each step's loss from the last mpjpe_loss
@@ -382,8 +382,8 @@ def test_steady_state_steps_fault_in_no_fresh_pages():
 
 @pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
 def test_steady_state_evaluates_fault_in_no_fresh_pages():
-    # The benchmark's h36m22 model; several chunks, so the chunk pool runs
-    # where it can, and its threads' heaps must be reused as well.
+    # The benchmark's h36m22 model; several chunks, so the workers run
+    # where they can, and this process's share must reuse its pages too.
     seqs = [synth_kinematic(22, 8 + 19, period=15, seed=s) for s in range(8)]
     windows = make_windows(seqs, t_in=10, k_out=10)
     model = build_model(skeleton_preset("h36m22"), ModelConfig(
@@ -398,8 +398,8 @@ def test_steady_state_evaluates_fault_in_no_fresh_pages():
 
 @pytest.mark.skipif(not ad._allocator_tuned, reason="glibc mallopt is unavailable")
 def test_pooled_predict_after_training_reuses_freed_memory():
-    # The pool's threads allocate from the heap that training left free,
-    # not from fresh arenas of their own (14 MiB more resident here). The
+    # A predict of two chunks allocates from the heap that training left
+    # free and writes the shared region that training faulted in. The
     # child reads its resident size, as its peak starts at this process's.
     child = textwrap.dedent("""
         from posecast import autodiff as ad
@@ -444,9 +444,11 @@ GOLDEN_TRAINED = {
     ("h36m22", 42): "63a6466a72e35f26e80151f0cd2fbaf92a53c553ea352233779f6c7ced699d23",
 }
 
-# A child's preamble: two usable cores, so that training forks a worker;
-# ``trained(b)`` trains the h36m22 benchmark model for two Adam steps on
-# the first b of 42 windows and returns the sha256 of its parameters.
+# A child's preamble: two usable cores, so that training and predict fork
+# a worker; ``trained(b)`` trains the h36m22 benchmark model for two Adam
+# steps on the first b of 42 windows and returns the sha256 of its
+# parameters, and ``predicted(b)`` the sha256 of its initial predictions
+# for those windows.
 WORKER_CHILD = textwrap.dedent("""
     import hashlib, os, signal, sys
     from posecast import autodiff as ad
@@ -459,12 +461,18 @@ WORKER_CHILD = textwrap.dedent("""
     windows = make_windows([synth_kinematic(22, 26, period=15, seed=s) for s in range(6)],
                            t_in=10, k_out=10)
 
-    def trained(b):
-        model = pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
+    def benchmark_model():
+        return pm.build_model(skeleton_preset("h36m22"), pm.ModelConfig(
             input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor",
             refine=True, seed=0))
+
+    def trained(b):
+        model = benchmark_model()
         train(model, windows[:b], TrainConfig(epochs=2, batch_size=b, lr_decay_epochs=()))
         return hashlib.sha256(b"".join(p.values.tobytes() for p in model.parameters())).hexdigest()
+
+    def predicted(b):
+        return hashlib.sha256(benchmark_model().predict(windows.inputs[:b]).tobytes()).hexdigest()
 
     def pids():
         return [w.pid for w in workers._workers]
@@ -555,21 +563,26 @@ class TestTrainingWorkers:
                 os.kill(pid, 0)
 
     def test_a_killed_worker_fails_one_call_and_the_next_forks_another(self):
+        # A worker killed between two training calls, then between two predicts.
         out = run_worker_child("""
-            first = trained(32)
-            [pid] = pids()
-            os.kill(pid, signal.SIGKILL)
-            try:
-                trained(32)
-            except RuntimeError as exc:
-                print(exc)
-            print(trained(32) == first, pid not in pids(), len(pids()))
-            ad._usable_cores = lambda: 1
-            print(trained(32) == first)
+            for work in (trained, predicted):
+                ad._usable_cores = lambda: 2
+                first = work(32)
+                [pid] = pids()
+                os.kill(pid, signal.SIGKILL)
+                try:
+                    work(32)
+                except RuntimeError as exc:
+                    print(exc)
+                print(work(32) == first, pid not in pids(), len(pids()))
+                ad._usable_cores = lambda: 1
+                print(work(32) == first)
         """)
-        error, pid = out[0], out[0].split()[2]
-        assert error == f"training worker {pid} was killed by signal 9 (SIGKILL)"
-        assert out[1:] == ["True True 1", "True"]
+        assert len(out) == 6
+        for error, rest in ((out[0], out[1:3]), (out[3], out[4:])):
+            pid = error.split()[2]
+            assert error == f"chunk worker {pid} was killed by signal 9 (SIGKILL)"
+            assert rest == ["True True 1", "True"]
 
     def test_a_chunk_raising_in_a_worker_raises_its_error_in_the_caller(self):
         # The worker's first chunk raises; then the caller's second chunk
@@ -604,35 +617,60 @@ class TestTrainingWorkers:
                        f"{GOLDEN_TRAINED['h36m22', 32]} True"]
 
     def test_a_child_forked_after_training_trains_with_a_worker_of_its_own(self):
+        # A child forked after training trains, and one forked after a
+        # predict predicts, with a worker of its own.
         out = run_worker_child("""
-            first, parent_workers = trained(32), pids()
-            child = os.fork()
-            if child == 0:
-                ok = pids() == [] and trained(32) == first and len(pids()) == 1
-                ok = ok and pids() != parent_workers
-                workers.shutdown()              # os._exit skips atexit
-                os._exit(0 if ok else 1)
-            print(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]), pids() == parent_workers)
-            print(trained(32) == first)
+            for work in (trained, predicted):
+                first, parent_workers = work(32), pids()
+                child = os.fork()
+                if child == 0:
+                    ok = pids() == [] and work(32) == first and len(pids()) == 1
+                    ok = ok and pids() != parent_workers
+                    workers.shutdown()          # os._exit skips atexit
+                    os._exit(0 if ok else 1)
+                status = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+                print(status, pids() == parent_workers, work(32) == first)
         """)
-        assert out == ["0 True", "True"]
+        assert out == ["0 True True"] * 2
 
 
 class TestEvaluate:
-    def test_predicts_at_most_one_chunk_at_a_time(self):
-        # A ForecastModel's predict then runs each chunk as one slice; the
-        # copy-last baseline, which has no graph, gets the windows' chunks.
-        model = tiny_model()
-        n = ad.chunk_size(model.window_rows)
+    def test_predicts_one_block_at_a_time(self):
+        # The copy-last baseline, which has no graph, gets blocks of
+        # EVAL_CHUNKS chunks of the windows' rows too.
+        n = training.EVAL_CHUNKS * ad.chunk_size(window_rows(4, 3, 5))
         windows = tiny_windows(n_frames=2 * n + 11)         # 2n + 5 windows
-        forward, forwarded = model.forward, []
-        model.forward = lambda x: forwarded.append(len(x)) or forward(x)
-        for predictor in (model, zero_velocity_baseline(3)):
-            predict, predicted = predictor.predict, []
-            predictor.predict = lambda x: predicted.append(len(x)) or predict(x)
-            evaluate(predictor, windows, [1, 3])
-            assert sorted(predicted) == [5, n, n]
-        assert sorted(forwarded) == [5, n, n]
+        baseline = zero_velocity_baseline(3)
+        predict, predicted = baseline.predict, []
+        baseline.predict = lambda x: predicted.append(len(x)) or predict(x)
+        evaluate(baseline, windows, [1, 3])
+        assert sorted(predicted) == [5, n, n]
+
+    def test_memory_is_bounded_by_one_block(self):
+        # The benchmark's h36m22 model over one block of windows, N = 64,
+        # and over 4N. One predict over the whole set would gather 3N more
+        # windows' inputs and predictions, three blocks' worth.
+        model = build_model(skeleton_preset("h36m22"), ModelConfig(
+            input_frames=10, output_frames=10, span=2, max_hop=3, strategy="anchor", seed=0))
+        block = training.EVAL_CHUNKS * ad.chunk_size(model.window_rows)
+        seqs = [synth_kinematic(22, block + 19, period=15, seed=s) for s in range(4)]
+        windows = make_windows(seqs, t_in=10, k_out=10)
+        assert (block, len(windows)) == (64, 4 * block)
+
+        def peak(w):
+            evaluate(model, w, [1, 10])                     # warm-up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                evaluate(model, w, [1, 10])
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        block_arrays = 2 * block * 10 * 22 * 3 * 8          # its inputs and predictions
+        grown = peak(windows) - peak(windows[:block])
+        assert grown < block_arrays, f"{grown / block_arrays:.2f} blocks more"
 
     def test_copy_model_on_constant_data_is_exact(self):
         frames = np.ones((20, 5, 3)) * np.arange(5)[None, :, None]
