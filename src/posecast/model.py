@@ -225,20 +225,39 @@ class ForecastModel:
 
         Runs ``ad.chunk_size(self.window_rows)`` windows at a time: 4 on
         h36m22 at T = K = 10, whose widest stacked product, [880, 256]
-        float64, then fits a 2 MiB per-core L2. One chunk runs here; the
-        chunks of a larger call are spread over this process and the
-        forked workers by a ``workers.Session``, each writing its own
-        rows of the [len(x), K, V, 3] result. The chunk, fixed by T, K
-        and V, makes the result independent of the core count.
+        float64, then fits a 2 MiB per-core L2. One chunk runs here; a
+        call of up to ``EVAL_CHUNKS`` chunks goes to ``workers.step``,
+        which spreads its chunks over this process and the forked
+        workers, and a larger call runs one such block at a time, each
+        written into its rows of the [len(x), K, V, 3] result. The chunk,
+        fixed by T, K and V, makes the result independent of the core
+        count.
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        if len(x) > ad.chunk_size(self.window_rows):
+        n = ad.chunk_size(self.window_rows)
+        if n < len(x) <= EVAL_CHUNKS * n:
             from . import workers           # forks and sockets, imported where used
-            return workers.Session(self, _predict_chunk, len(x)).step(x, None)
+            return workers.step(self, _predict_chunk, x)
         preds = np.empty((len(x), self.config.output_frames, self.joint_count, 3))
-        _predict_chunk(self, x, None, preds, slice(None))
+        if len(x) <= n:
+            _predict_chunk(self, x, None, preds, slice(None))
+        else:
+            for start in range(0, len(x), EVAL_CHUNKS * n):
+                rows = slice(start, start + EVAL_CHUNKS * n)
+                preds[rows] = self.predict(x[rows])
         return preds
+
+
+# Chunks per ``workers.step`` of ``ForecastModel.predict``, and per
+# predict call of ``training.evaluate``: the block, not the window set,
+# bounds the shared region and evaluate's gathered inputs. On the
+# benchmark's 256 h36m22 windows (2-core Xeon, median of 10 calls, model
+# kept in the workers), 64-window blocks (16 chunks) took 268/271 ms at
+# 43 MiB peak RSS, against 306/297 ms and 42 MiB on chunk threads; one
+# predict over the whole set took the peak to 47-49 MiB, and 8-window
+# blocks paid each call's cost in 305/338 ms.
+EVAL_CHUNKS = 16
 
 
 def _predict_chunk(model, inputs, targets, preds, rows):

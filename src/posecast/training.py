@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, DimensionError, adam_step
-from .model import config_value, window_rows
+from .model import EVAL_CHUNKS, config_value, window_rows
 
 __all__ = [
     "TrainConfig",
@@ -145,7 +145,7 @@ def train(model, windows, config):
 
     Each batch runs forward and backward ``ad.chunk_size(model.window_rows)``
     windows at a time, the chunks spread over the calling process and
-    forked workers by a ``workers.Session``: windows are independent, so
+    forked workers by one ``workers.step``: windows are independent, so
     the batch's gradient is the sum of its chunks'. Every chunk takes its
     gradients in arrays of its own, seeded as the whole batch's loss
     seeds them, and writes its rows of the batch's predictions; the
@@ -165,7 +165,6 @@ def train(model, windows, config):
     log = []
     for p in params:                    # every step folds its gradients into these
         p.grad = np.zeros_like(p.values)
-    session = workers.Session(model, _chunk, config.batch_size)
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= config.lr_decay_factor
@@ -173,7 +172,7 @@ def train(model, windows, config):
         losses = []
         for start in range(0, len(order), config.batch_size):
             inputs, targets = windows.batch(order[start: start + config.batch_size])
-            preds = session.step(inputs, targets)
+            preds = workers.step(model, _chunk, inputs, targets)
             value = mpjpe_loss(ad.constant(preds), targets).item()
             if not np.isfinite(value):
                 norms = ", ".join(f"{name}={np.linalg.norm(block):.6g}"
@@ -202,17 +201,6 @@ def check_horizons(horizons, k):
 def _require_windows(windows, action):
     if len(windows) == 0:
         raise ValueError(f"cannot {action} on an empty window set")
-
-
-# Windows per predict call of evaluate, as a number of chunks. Each call
-# gathers its block's inputs and returns its predictions, so the block,
-# not the window set, bounds evaluate's memory. On the benchmark's 256
-# h36m22 windows (2-core Xeon, median of 10 calls, model kept in the
-# workers), 64-window blocks (16 chunks) took 268/271 ms at 43 MiB peak
-# RSS, against 306/297 ms and 42 MiB on chunk threads; one predict over
-# the whole set took the peak to 47-49 MiB, and 8-window blocks paid
-# each call's cost in 305/338 ms.
-EVAL_CHUNKS = 16
 
 
 def evaluate(model, windows, horizons):

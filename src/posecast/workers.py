@@ -6,17 +6,19 @@ calling process takes chunks 0, P, 2P, ... and P - 1 forked workers
 take the rest. Processes do not share an interpreter lock, so their
 chunks run side by side where two chunk threads would take turns.
 
-``train`` opens a ``Session`` per call, and ``ForecastModel.predict``
-one per call of several chunks. A ``step`` writes the parameters and
-the batch into one shared region; each worker copies the parameters
-into a model of its own, kept while the model's class, skeleton and
-config stay the same, and writes its chunks' rows of the predictions
-into the region. A training chunk also writes its gradients into one of
-the worker's ``SLOTS`` gradient slots there, and the caller folds every
-chunk's gradients into ``p.grad`` in chunk order, chunk 0's copied and
-the rest added, so the sums and their bytes are those of the plain
-loop. Only a few bytes of control cross each worker's socket; no array
-is pickled.
+``step`` writes the parameters and the batch into one shared region and
+sends each worker one message: the chunk function, the model's class,
+skeleton and config, the batch size, the worker's first chunk and the
+stride, and the region's fd when the worker has not mapped that region
+yet. Both sides carve the region with ``_layout``. Each worker copies
+the parameters into a model of its own, kept while the model's class,
+skeleton and config stay the same, and writes its chunks' rows of the
+predictions into the region. A training chunk also writes its gradients
+into one of the worker's ``SLOTS`` gradient slots there, and the caller
+folds every chunk's gradients into ``p.grad`` in chunk order, chunk 0's
+copied and the rest added, so the sums and their bytes are those of the
+plain loop. Only a few bytes of control cross each worker's socket; no
+array is pickled.
 
 Workers are forked at the first step with more than one chunk and kept
 for the life of the process, as is the region while it is large enough:
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-__all__ = ["Session", "shutdown"]
+__all__ = ["step", "shutdown"]
 
 SLOTS = 2           # gradient slots per worker: one being folded, one being written
 _MESSAGE = 1 << 16  # largest control message, in bytes
@@ -56,9 +58,6 @@ class _Region:
         self.fd = os.memfd_create("posecast-chunks", os.MFD_CLOEXEC)
         os.ftruncate(self.fd, 8 * size)
         self.flat = np.frombuffer(mmap.mmap(self.fd, 8 * size), np.float64)
-
-    def close(self):
-        os.close(self.fd)
 
 
 class _Worker:
@@ -82,8 +81,7 @@ class _Worker:
                 os._exit(code)
         theirs.close()
         self.sock = mine
-        self.region = self.session = None   # the region and session setup it was last sent
-        self.slots = None                   # the caller's views of its gradient slots
+        self.region = None                  # the region it was last sent
         self.owed = 0                       # messages it has still to send this step
 
     def send(self, message, fds=()):
@@ -149,24 +147,21 @@ _lock = threading.Lock()        # held by the step that uses the workers
 def shutdown():
     """Close every worker's socket, reap the workers and drop the region.
     Runs at exit; a later step of several chunks forks workers afresh."""
-    global _region
-    while _workers:
-        worker = _workers.pop()
-        worker.sock.close()
-        os.waitpid(worker.pid, 0)
-    if _region is not None:
-        _region.close()
-        _region = None
+    pids = [worker.pid for worker in _workers]
+    _forget()
+    for pid in pids:
+        os.waitpid(pid, 0)
 
 
 def _forget():
-    """In a forked child: close the handles inherited from the parent."""
+    """Close the workers' sockets and the region, and take a fresh lock;
+    a forked child runs it on the handles it inherits from the parent."""
     global _region, _lock
     for worker in _workers:
         worker.sock.close()
     _workers.clear()
     if _region is not None:
-        _region.close()
+        os.close(_region.fd)
         _region = None
     _lock = threading.Lock()
 
@@ -186,59 +181,26 @@ def _portable(exc):
     return RuntimeError(f"{type(exc).__qualname__}: {str(exc)[:_MESSAGE // 8]}")
 
 
-def _shapes(model, batch):
-    """The region's shared arrays, in order: one per parameter, then the
-    inputs, targets and predictions of a batch of up to ``batch`` windows.
-    Each worker's gradient slots follow them."""
+def _layout(model, n, crew):
+    """The shapes of the region's arrays, in order: one per parameter, then
+    each of ``crew`` workers' SLOTS gradient sets of the same shapes, then
+    the inputs, targets and predictions of an n-window batch."""
     t, k, v = model.config.input_frames, model.config.output_frames, model.joint_count
-    return ([p.shape for p in model.parameters()]
-            + [(batch, t, v, 3), (batch, k, v, 3), (batch, k, v, 3)])
+    return ([p.shape for p in model.parameters()] * (1 + crew * SLOTS)
+            + [(n, t, v, 3), (n, k, v, 3), (n, k, v, 3)])
 
 
-def _carve(flat, at, shapes):
-    """Consecutive views of ``flat`` from element ``at``, one per shape."""
-    views = []
+def _carve(flat, shapes, count):
+    """Consecutive views of ``flat``, one per shape of ``_layout``: the
+    ``count`` parameters' views, a list of the workers' gradient slots,
+    slot s of the crew's worker w (from 0) at w * SLOTS + s, and the
+    inputs, targets and predictions."""
+    views, at = [], 0
     for shape in shapes:
         views.append(flat[at: at + math.prod(shape)].reshape(shape))
         at += math.prod(shape)
-    return views
-
-
-class _Job:
-    """A worker's side of one session."""
-
-    def __init__(self, flat, model, chunk, batch, slots_at):
-        self.model, self.chunk = model, chunk
-        self.params = model.parameters()
-        views = _carve(flat, 0, _shapes(model, batch))
-        self.shared, self.arrays = views[:-3], views[-3:]
-        size = sum(p.values.size for p in self.params)
-        self.slots = [_carve(flat, slots_at + s * size, [p.shape for p in self.params])
-                      for s in range(SLOTS)]
-
-    def step(self, sock, free, n, first, stride, with_targets):
-        """Run chunks first, first + stride, ... of an n-window batch."""
-        for p, shared in zip(self.params, self.shared):
-            np.copyto(p.values, shared)
-        inputs, targets, preds = (a[:n] for a in self.arrays)
-        targets = targets if with_targets else None
-        slices = ad.chunk_slices(n, self.model.window_rows)
-        for k, c in enumerate(range(first, len(slices), stride)):
-            try:
-                grads = self.chunk(self.model, inputs, targets, preds, slices[c])
-            except Exception as exc:
-                sock.send(pickle.dumps(("error", _portable(exc))))
-                return
-            if grads is None:
-                sock.send(pickle.dumps(("done", None)))
-                continue
-            s = k % SLOTS
-            while not free[s]:          # only frees arrive during a step
-                free[_receive(sock)[0][1]] = True
-            for slot, g in zip(self.slots[s], grads):
-                np.copyto(slot, g)
-            free[s] = False
-            sock.send(pickle.dumps(("done", s)))
+    sets = [views[i: i + count] for i in range(0, len(views) - 3, count)]
+    return sets[0], sets[1:], views[-3:]
 
 
 def _receive(sock):
@@ -249,27 +211,48 @@ def _receive(sock):
 
 
 def _serve(sock):
-    """A worker's loop: act on each message until the socket closes."""
+    """A worker's loop, until the socket closes: free the slot a message
+    names, or run chunks first, first + stride, ... of a step's n-window
+    batch."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    flat = job = model = None
+    flat = model = None
     free = [True] * SLOTS
     while True:
         message, fds = _receive(sock)
-        kind = message[0]
-        if kind == "region":
-            flat = np.frombuffer(mmap.mmap(fds[0], message[1]), np.float64)
-            os.close(fds[0])
-        elif kind == "session":
-            chunk, cls, skeleton, config, batch, at = message[1:]
-            if model is None or (type(model), model.skeleton, model.config) != (
-                    cls, skeleton, config):
-                job = model = None      # free the last model first
-                model = cls(skeleton, config)
-            job = _Job(flat, model, chunk, batch, at)
-        elif kind == "free":
+        if message[0] == "free":
             free[message[1]] = True
-        else:
-            job.step(sock, free, *message[1:])
+            continue
+        if fds:
+            flat = np.frombuffer(mmap.mmap(fds[0], os.fstat(fds[0]).st_size), np.float64)
+            os.close(fds[0])
+        _, chunk, cls, skeleton, config, n, first, stride, with_targets = message
+        if model is None or (type(model), model.skeleton, model.config) != (
+                cls, skeleton, config):
+            model = None                # free the last model first
+            model = cls(skeleton, config)
+        params = model.parameters()
+        shared, slots, (inputs, targets, preds) = _carve(
+            flat, _layout(model, n, stride - 1), len(params))
+        for p, values in zip(params, shared):
+            np.copyto(p.values, values)
+        targets = targets if with_targets else None
+        slices = ad.chunk_slices(n, model.window_rows)
+        for k, c in enumerate(range(first, len(slices), stride)):
+            try:
+                grads = chunk(model, inputs, targets, preds, slices[c])
+            except Exception as exc:
+                sock.send(pickle.dumps(("error", _portable(exc))))
+                break
+            if grads is None:
+                sock.send(pickle.dumps(("done", None)))
+                continue
+            s = k % SLOTS
+            while not free[s]:          # only frees arrive during a step
+                free[_receive(sock)[0][1]] = True
+            for slot, g in zip(slots[(first - 1) * SLOTS + s], grads):
+                np.copyto(slot, g)
+            free[s] = False
+            sock.send(pickle.dumps(("done", s)))
 
 
 def _settle(crew):
@@ -285,19 +268,18 @@ def _settle(crew):
         raise
 
 
-class Session:
-    """One ``train`` or ``predict`` call's use of the workers.
+def step(model, chunk, inputs, targets=None):
+    """Call ``chunk(model, inputs, targets, preds, rows)`` for each
+    ``ad.chunk_slices`` slice of the batch and return ``preds``, an array
+    of its own.
 
-    ``step(inputs, targets)`` calls ``chunk(model, inputs, targets,
-    preds, rows)`` for each ``ad.chunk_slices`` slice of the batch: a
-    call writes its rows of ``preds`` and returns its gradients, one
+    A call writes its rows of ``preds`` and returns its gradients, one
     array per parameter, or None; ``targets`` is None for chunks that
     read none. The step folds the gradients into each parameter's
-    ``grad`` in chunk order and returns ``preds``, an array of its own.
-    A raising chunk's exception is raised, the lowest chunk's if several
-    raise, once the workers have finished the step; a worker that dies
-    raises a RuntimeError naming its pid and signal, and the next step
-    forks another.
+    ``grad`` in chunk order. A raising chunk's exception is raised, the
+    lowest chunk's if several raise, once the workers have finished the
+    step; a worker that dies raises a RuntimeError naming its pid and
+    signal, and the next step forks another.
 
     The plain loop runs in the caller, with the same bytes, for a step of
     one chunk, with one usable core, where the import could not pin
@@ -305,104 +287,78 @@ class Session:
     another thread's step holds the workers, and, until workers exist,
     while another thread is alive.
     """
-
-    def __init__(self, model, chunk, batch):
-        self.model, self.chunk = model, chunk
-        self.params = model.parameters()
-        self.size = sum(p.values.size for p in self.params)
-        self.shapes = _shapes(model, batch)
-        self.slots_at = sum(math.prod(s) for s in self.shapes)
-        self.setup = (chunk, type(model), model.skeleton, model.config, batch)
-        self.region = None
-
-    def step(self, inputs, targets):
-        slices = ad.chunk_slices(len(inputs), self.model.window_rows)
-        lock = _lock
-        if lock.acquire(blocking=False):
-            try:
-                crew = self._crew(len(slices))
-                if crew:
-                    return self._spread(crew, slices, inputs, targets)
-            finally:
-                lock.release()
-        preds = np.empty((len(inputs), *self.shapes[-1][1:]))
-        for i, rows in enumerate(slices):
-            self._fold(i, self.chunk(self.model, inputs, targets, preds, rows))
-        return preds
-
-    def _spread(self, crew, slices, inputs, targets):
-        """The step on the caller and ``crew``: chunk c on process c mod P."""
-        n = len(inputs)
-        for shared, p in zip(self.shared, self.params):
-            np.copyto(shared, p.values)
-        shared_in, shared_out, preds = (a[:n] for a in self.arrays)
-        np.copyto(shared_in, inputs)
-        if targets is not None:
-            np.copyto(shared_out, targets)
-        procs = len(crew) + 1
+    slices = ad.chunk_slices(len(inputs), model.window_rows)
+    params = model.parameters()
+    lock = _lock
+    if lock.acquire(blocking=False):
         try:
-            for w, worker in enumerate(crew, 1):
-                worker.owed = len(range(w, len(slices), procs))
-                worker.send(("step", n, w, procs, targets is not None))
-            for i, rows in enumerate(slices):
-                if i % procs == 0:
-                    self._fold(i, self.chunk(self.model, inputs, targets, preds, rows))
-                else:
-                    worker = crew[i % procs - 1]
-                    slot = worker.collect()
-                    if slot is not None:
-                        self._fold(i, worker.slots[slot])
-                        worker.send(("free", slot))
+            crew = _crew(len(slices))
+            if crew:
+                return _spread(crew, model, chunk, params, slices, inputs, targets)
         finally:
-            _settle(crew)
-        return preds.copy()             # the region is the next step's
+            lock.release()
+    preds = np.empty((len(inputs), model.config.output_frames, model.joint_count, 3))
+    for i, rows in enumerate(slices):
+        _fold(params, i, chunk(model, inputs, targets, preds, rows))
+    return preds
 
-    def _crew(self, chunks):
-        """The workers that take a share of a step of ``chunks`` chunks,
-        forked and sent the region and this session as needed; [] for the
-        plain loop."""
-        cores = ad._usable_cores() if ad._set_blas_threads is not None else 1
-        want = min(cores, chunks) - 1
-        if want < 1 or not hasattr(os, "memfd_create"):
-            return []
-        try:
-            while (len(_workers) < want and hasattr(os, "fork")
-                   and threading.active_count() == 1):
-                _workers.append(_Worker())
-        except OSError:
-            pass                            # no fork now: run with the workers there are
-        crew = _workers[:want]
-        if crew:
-            self._attach(crew)
-        return crew
 
-    def _attach(self, crew):
-        global _region
-        need = self.slots_at + len(crew) * SLOTS * self.size
-        if _region is None or _region.flat.size < need:
-            if _region is not None:
-                _region.close()
-            _region = _Region(need)
-        if self.region is not _region:
-            self.region = _region
-            views = _carve(_region.flat, 0, self.shapes)
-            self.shared, self.arrays = views[:-3], views[-3:]
-        for w, worker in enumerate(crew):
-            if worker.region is not _region:
-                worker.send(("region", _region.flat.nbytes), [_region.fd])
-                worker.region, worker.session = _region, None
-            at = self.slots_at + w * SLOTS * self.size
-            if worker.session != (self.setup, at):
-                worker.send(("session", *self.setup, at))
-                worker.session = (self.setup, at)
-                worker.slots = [_carve(_region.flat, at + s * self.size, self.shapes[:-3])
-                                for s in range(SLOTS)]
+def _spread(crew, model, chunk, params, slices, inputs, targets):
+    """The step on the caller and ``crew``: chunk c on process c mod P."""
+    global _region
+    n, procs = len(inputs), len(crew) + 1
+    shapes = _layout(model, n, len(crew))
+    need = sum(math.prod(shape) for shape in shapes)
+    if _region is None or _region.flat.size < need:
+        if _region is not None:
+            os.close(_region.fd)
+        _region = _Region(need)
+    shared, slots, (shared_in, shared_out, preds) = _carve(_region.flat, shapes, len(params))
+    for values, p in zip(shared, params):
+        np.copyto(values, p.values)
+    np.copyto(shared_in, inputs)
+    if targets is not None:
+        np.copyto(shared_out, targets)
+    setup = ("step", chunk, type(model), model.skeleton, model.config, n)
+    try:
+        for w, worker in enumerate(crew, 1):
+            fds = [] if worker.region is _region else [_region.fd]
+            worker.region = _region
+            worker.owed = len(range(w, len(slices), procs))
+            worker.send((*setup, w, procs, targets is not None), fds)
+        for i, rows in enumerate(slices):
+            w = i % procs
+            if w == 0:
+                _fold(params, i, chunk(model, inputs, targets, preds, rows))
+                continue
+            slot = crew[w - 1].collect()
+            if slot is not None:
+                _fold(params, i, slots[(w - 1) * SLOTS + slot])
+                crew[w - 1].send(("free", slot))
+    finally:
+        _settle(crew)
+    return preds.copy()                 # the region is the next step's
 
-    def _fold(self, i, grads):
-        if grads is None:
-            return
-        for p, g in zip(self.params, grads):
-            if i == 0:
-                np.copyto(p.grad, g)
-            else:
-                p.grad += g
+
+def _crew(chunks):
+    """The workers that take a share of a step of ``chunks`` chunks, forked
+    as needed; [] for the plain loop."""
+    cores = ad._usable_cores() if ad._set_blas_threads is not None else 1
+    want = min(cores, chunks) - 1
+    if want < 1 or not hasattr(os, "memfd_create"):
+        return []
+    try:
+        while (len(_workers) < want and hasattr(os, "fork")
+               and threading.active_count() == 1):
+            _workers.append(_Worker())
+    except OSError:
+        pass                            # no fork now: run with the workers there are
+    return _workers[:want]
+
+
+def _fold(params, i, grads):
+    for p, g in zip(params, grads or ()):
+        if i == 0:
+            np.copyto(p.grad, g)
+        else:
+            p.grad += g

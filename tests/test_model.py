@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import struct
@@ -768,8 +769,12 @@ class TestChunkPool:
             parallel[b] = model.predict(x[-b:])
             chunks = -(-b // n)
             assert len(here) == -(-chunks // 2), b          # chunks 0, 2, 4, ... ran here
-        # A worker ran the other chunks, in a predict session.
-        assert workers._workers[0].session[0][0] is pm._predict_chunk
+        # A worker ran the other chunks: with a chunk that writes its pid,
+        # a two-chunk predict's second chunk ran on the worker.
+        with monkeypatch.context() as patch:
+            patch.setattr(pm, "_predict_chunk", pid_chunk)
+            ran_on = model.predict(x[:2 * n])
+        assert (ran_on[:n] == os.getpid()).all() and (ran_on[n:] == workers._workers[0].pid).all()
         # Each result is an array of its own: a call of the same size on
         # other windows leaves it alone.
         model.predict(x[::-1])
@@ -803,7 +808,7 @@ class TestChunkPool:
         model = benchmark_model("h36m22")
         x = np.random.default_rng(17).normal(size=(20, 10, 22, 3))     # five chunks
         with pytest.raises(DimensionError, match="chunk 2"):
-            workers.Session(model, failing_chunk, len(x)).step(x, None)
+            workers.step(model, failing_chunk, x)
         assert all(w.owed == 0 for w in workers._workers)
         after = model.predict(x).tobytes()
         monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
@@ -816,12 +821,59 @@ class TestChunkPool:
         monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
         model = benchmark_model("chain_8")
         n = ad.chunk_size(model.window_rows)
-        ran_on = workers.Session(model, pid_chunk, 40 * n).step(np.zeros((40 * n, 10, 8, 3)),
-                                                                 None)
+        ran_on = workers.step(model, pid_chunk, np.zeros((40 * n, 10, 8, 3)))
         pids = [os.getpid()] + [w.pid for w in workers._workers[:3]]
         assert len(set(pids)) == 4
         for i in range(40):
             assert (ran_on[i * n: (i + 1) * n] == pids[i % 4]).all(), i
+
+    @needs_memfd
+    @pytest.mark.parametrize("calls", [
+        # (skeleton, the benchmark config of which skeleton, weight scale)
+        [("h36m22", "h36m22", 1.0), ("h36m22", "h36m22", 0.5)] * 2,
+        [("h36m22", "h36m22", 1.0), ("chain_8", "h36m22", 1.0),
+         ("chain_8", "chain_8", 1.0), ("h36m22", "h36m22", 1.0)],
+    ], ids=["other-weights", "other-skeleton"])
+    def test_the_workers_model_follows_each_call(self, calls, openblas, monkeypatch):
+        # One worker keeps its model while class, skeleton and config stay
+        # the same, and takes the parameters afresh at every step: models
+        # of one config with other weights, then another skeleton of the
+        # same config, another config and back, each predict the plain
+        # loop's bytes.
+        models, inputs = {}, {}
+        for call in calls:
+            skeleton, config, scale = call
+            if call not in models:
+                model = models[call] = build_model(skeleton_preset(skeleton), ModelConfig(
+                    input_frames=10, output_frames=10, refine=True, seed=0,
+                    **BENCHMARK_MODELS[config]))
+                for p in model.parameters():
+                    p.values *= scale
+                n = ad.chunk_size(model.window_rows)
+                inputs[call] = np.random.default_rng(18).normal(
+                    size=(3 * n, 10, model.joint_count, 3))
+        spread, served_by = [], set()
+        for call in calls:
+            spread.append(models[call].predict(inputs[call]).tobytes())
+            served_by.add(workers._workers[0].pid)
+        assert len(served_by) == 1
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        assert spread == [models[call].predict(inputs[call]).tobytes() for call in calls]
+
+    @needs_memfd
+    def test_a_large_predict_maps_one_block(self, openblas, monkeypatch):
+        # A 2,048-window h36m22 predict goes to the workers one block of
+        # EVAL_CHUNKS chunks at a time, so the shared region holds one
+        # block, not the whole call's inputs and predictions.
+        model = benchmark_model("h36m22")
+        block = pm.EVAL_CHUNKS * ad.chunk_size(model.window_rows)
+        x = np.random.default_rng(19).normal(size=(2048, 10, 22, 3))
+        workers.shutdown()                  # drop the region earlier tests grew
+        spread = model.predict(x)
+        one_block = sum(math.prod(s) for s in workers._layout(model, block, 1))
+        assert workers._region.flat.size == one_block
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
+        assert model.predict(x).tobytes() == spread.tobytes()
 
     def test_no_thread_outlives_a_call(self, openblas, monkeypatch):
         # Chunks run on processes: predict and evaluate start no thread.
