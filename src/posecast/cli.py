@@ -181,12 +181,13 @@ def cmd_sweep(args):
     config = load_config(args.config)
     spans = config_value("--spans", args.spans.split(","), "tuple")
     hops = config_value("--hops", args.hops.split(","), "tuple")
-    horizon = config_value("--horizon", args.horizon, "int")
+    horizon = None if args.horizon is None else config_value("--horizon", args.horizon, "int")
     base_out = config_value("output_dir", config.get("output_dir", "runs/sweep"), "str")
     cells = []              # every cell is checked before the first one trains
     for span in spans:
         for hop in hops:
             run = _check_run(config, span=span, max_hop=hop)
+            horizon = run[1].output_frames if horizon is None else horizon  # cells share K
             check_horizons([horizon], run[1].output_frames)
             cells.append((span, hop, os.path.join(base_out, f"L{span}D{hop}"), run))
     windows = _start_runs(config, [cell[2:] for cell in cells])
@@ -255,7 +256,7 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--spans", required=True, help="comma-separated L values")
     p.add_argument("--hops", required=True, help="comma-separated D values")
-    p.add_argument("--horizon", default="10")
+    p.add_argument("--horizon", help="frame offset to compare (default: K)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")

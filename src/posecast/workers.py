@@ -7,26 +7,26 @@ take the rest. Processes do not share an interpreter lock, so their
 chunks run side by side where two chunk threads would take turns.
 
 ``step`` writes the parameters and the batch into one shared region and
-sends each worker one message: the chunk function, the model's class,
-skeleton and config, the batch size, the worker's first chunk and the
-stride, and the region's fd when the worker has not mapped that region
-yet. Both sides carve the region with ``_layout``. Each worker copies
-the parameters into a model of its own, kept while the model's class,
-skeleton and config stay the same, and writes its chunks' rows of the
-predictions into the region. A training chunk also writes its gradients
-into one of the worker's ``SLOTS`` gradient slots there, and the caller
-folds every chunk's gradients into ``p.grad`` in chunk order, chunk 0's
-copied and the rest added, so the sums and their bytes are those of the
-plain loop. Only a few bytes of control cross each worker's socket; no
-array is pickled.
+sends each worker one message with the region's fd: the chunk function,
+the model's class, skeleton and config, the batch size, the worker's
+first chunk and the stride. The worker maps the region for that step
+only, and both sides carve it with ``_layout``. Each worker copies the
+parameters into a model of its own, the one thing it keeps between
+steps while the model's class, skeleton and config stay the same, and
+writes its chunks' rows of the predictions into the region. A training
+chunk also writes its gradients into the worker's one gradient slot
+there, once the caller has freed it, and the caller folds every chunk's
+gradients into ``p.grad`` in chunk order, chunk 0's copied and the rest
+added, so the sums and their bytes are those of the plain loop. Only a
+few bytes of control cross each worker's socket; no array is pickled.
 
 Workers are forked at the first step with more than one chunk and kept
-for the life of the process, as is the region while it is large enough:
-after a fork the caller takes a copy-on-write fault on every page it
-writes, so a fork per call would fault in its whole working set each
-call. ``atexit`` closes the sockets and reaps the workers. A worker
-ignores SIGINT and leaves when its socket reaches end of file, and any
-other forked child drops the handles it inherits.
+for the life of the process, as is the caller's mapping of the region
+while it is large enough: after a fork the caller takes a copy-on-write
+fault on every page it writes, so a fork per call would fault in its
+whole working set each call. ``atexit`` closes the sockets and reaps
+the workers. A worker ignores SIGINT and leaves when its socket reaches
+end of file, and any other forked child drops the handles it inherits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from . import autodiff as ad
 
 __all__ = ["step", "shutdown"]
 
-SLOTS = 2           # gradient slots per worker: one being folded, one being written
 _MESSAGE = 1 << 16  # largest control message, in bytes
 
 
@@ -81,7 +80,6 @@ class _Worker:
                 os._exit(code)
         theirs.close()
         self.sock = mine
-        self.region = None                  # the region it was last sent
         self.owed = 0                       # messages it has still to send this step
 
     def send(self, message, fds=()):
@@ -91,8 +89,8 @@ class _Worker:
             raise self.died() from None
 
     def collect(self):
-        """Wait for the worker's next chunk; return the slot its gradients
-        are in (None for a chunk without), or raise the chunk's exception."""
+        """Wait for the worker's next chunk; return whether its gradients
+        are in the worker's slot, or raise the chunk's exception."""
         try:
             data = self.sock.recv(_MESSAGE)
         except OSError:
@@ -101,18 +99,20 @@ class _Worker:
             raise self.died()
         kind, value = pickle.loads(data)
         self.owed = 0 if kind == "error" else self.owed - 1
-        if kind == "error":
+        if kind != "error":
+            return value
+        try:
             raise value
-        return value
+        finally:
+            del value           # a cycle of this frame and the error would keep the region mapped
 
     def drain(self):
-        """Take what the worker has still to send this step, freeing each
+        """Take what the worker has still to send this step, freeing its
         slot, so that it waits for the next step."""
         while self.owed:
             try:
-                slot = self.collect()
-                if slot is not None:
-                    self.send(("free", slot))
+                if self.collect():
+                    self.send("free")
             except Exception:
                 pass                # an error ends its step; a death discards it
 
@@ -172,9 +172,11 @@ if hasattr(os, "register_at_fork"):
 
 
 def _portable(exc):
-    """``exc`` if it pickles within a message, else a RuntimeError naming it."""
+    """``exc`` if it pickles within a message and loads again, else a
+    RuntimeError naming it."""
     try:
-        if len(pickle.dumps(("error", exc))) < _MESSAGE:
+        data = pickle.dumps(("error", exc))
+        if len(data) < _MESSAGE and pickle.loads(data):     # loads raises if it cannot
             return exc
     except Exception:
         pass
@@ -183,18 +185,17 @@ def _portable(exc):
 
 def _layout(model, n, crew):
     """The shapes of the region's arrays, in order: one per parameter, then
-    each of ``crew`` workers' SLOTS gradient sets of the same shapes, then
-    the inputs, targets and predictions of an n-window batch."""
+    each of ``crew`` workers' gradient slot of the same shapes, then the
+    inputs, targets and predictions of an n-window batch."""
     t, k, v = model.config.input_frames, model.config.output_frames, model.joint_count
-    return ([p.shape for p in model.parameters()] * (1 + crew * SLOTS)
+    return ([p.shape for p in model.parameters()] * (1 + crew)
             + [(n, t, v, 3), (n, k, v, 3), (n, k, v, 3)])
 
 
 def _carve(flat, shapes, count):
     """Consecutive views of ``flat``, one per shape of ``_layout``: the
-    ``count`` parameters' views, a list of the workers' gradient slots,
-    slot s of the crew's worker w (from 0) at w * SLOTS + s, and the
-    inputs, targets and predictions."""
+    ``count`` parameters' views, a list of the crew's gradient slots in
+    worker order, and the inputs, targets and predictions."""
     views, at = [], 0
     for shape in shapes:
         views.append(flat[at: at + math.prod(shape)].reshape(shape))
@@ -211,48 +212,44 @@ def _receive(sock):
 
 
 def _serve(sock):
-    """A worker's loop, until the socket closes: free the slot a message
-    names, or run chunks first, first + stride, ... of a step's n-window
-    batch."""
+    """A worker's loop, until the socket closes: keep the model between
+    steps, and skip a free that a step which raised left unread."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    flat = model = None
-    free = [True] * SLOTS
+    model = None
     while True:
         message, fds = _receive(sock)
-        if message[0] == "free":
-            free[message[1]] = True
-            continue
-        if fds:
-            flat = np.frombuffer(mmap.mmap(fds[0], os.fstat(fds[0]).st_size), np.float64)
-            os.close(fds[0])
-        _, chunk, cls, skeleton, config, n, first, stride, with_targets = message
-        if model is None or (type(model), model.skeleton, model.config) != (
-                cls, skeleton, config):
-            model = None                # free the last model first
-            model = cls(skeleton, config)
-        params = model.parameters()
-        shared, slots, (inputs, targets, preds) = _carve(
-            flat, _layout(model, n, stride - 1), len(params))
-        for p, values in zip(params, shared):
-            np.copyto(p.values, values)
-        targets = targets if with_targets else None
-        slices = ad.chunk_slices(n, model.window_rows)
-        for k, c in enumerate(range(first, len(slices), stride)):
-            try:
-                grads = chunk(model, inputs, targets, preds, slices[c])
-            except Exception as exc:
-                sock.send(pickle.dumps(("error", _portable(exc))))
-                break
-            if grads is None:
-                sock.send(pickle.dumps(("done", None)))
-                continue
-            s = k % SLOTS
-            while not free[s]:          # only frees arrive during a step
-                free[_receive(sock)[0][1]] = True
-            for slot, g in zip(slots[(first - 1) * SLOTS + s], grads):
+        if message != "free":
+            model = _run(sock, model, fds[0], *message)
+
+
+def _run(sock, model, fd, chunk, cls, skeleton, config, n, first, stride, with_targets):
+    """Run chunks first, first + stride, ... of an n-window batch on the
+    region ``fd`` holds, mapped for this call only; returns the model."""
+    flat = np.frombuffer(mmap.mmap(fd, 0), np.float64)         # the whole region
+    os.close(fd)
+    if model is None or (type(model), model.skeleton, model.config) != (cls, skeleton, config):
+        model = None                    # free the last model first
+        model = cls(skeleton, config)
+    params = model.parameters()
+    shared, slots, (inputs, targets, preds) = _carve(
+        flat, _layout(model, n, stride - 1), len(params))
+    for p, values in zip(params, shared):
+        np.copyto(p.values, values)
+    slices, written = ad.chunk_slices(n, model.window_rows), False
+    for c in range(first, len(slices), stride):
+        try:
+            grads = chunk(model, inputs, targets if with_targets else None, preds, slices[c])
+        except Exception as exc:
+            sock.send(pickle.dumps(("error", _portable(exc))))
+            break
+        if grads is not None:
+            if written:
+                _receive(sock)          # the free of the slot: nothing else comes mid-step
+            for slot, g in zip(slots[first - 1], grads):
                 np.copyto(slot, g)
-            free[s] = False
-            sock.send(pickle.dumps(("done", s)))
+            written = True
+        sock.send(pickle.dumps(("done", grads is not None)))
+    return model
 
 
 def _settle(crew):
@@ -276,10 +273,12 @@ def step(model, chunk, inputs, targets=None):
     A call writes its rows of ``preds`` and returns its gradients, one
     array per parameter, or None; ``targets`` is None for chunks that
     read none. The step folds the gradients into each parameter's
-    ``grad`` in chunk order. A raising chunk's exception is raised, the
-    lowest chunk's if several raise, once the workers have finished the
-    step; a worker that dies raises a RuntimeError naming its pid and
-    signal, and the next step forks another.
+    ``grad`` in chunk order; a worker maps the shared region for the step
+    only and holds one chunk's gradients there at a time. A raising
+    chunk's exception is raised, the lowest chunk's if several raise,
+    once the workers have finished the step; a worker that dies raises a
+    RuntimeError naming its pid and signal, and the next step forks
+    another.
 
     The plain loop runs in the caller, with the same bytes, for a step of
     one chunk, with one usable core, where the import could not pin
@@ -319,22 +318,18 @@ def _spread(crew, model, chunk, params, slices, inputs, targets):
     np.copyto(shared_in, inputs)
     if targets is not None:
         np.copyto(shared_out, targets)
-    setup = ("step", chunk, type(model), model.skeleton, model.config, n)
+    setup = (chunk, type(model), model.skeleton, model.config, n)
     try:
         for w, worker in enumerate(crew, 1):
-            fds = [] if worker.region is _region else [_region.fd]
-            worker.region = _region
             worker.owed = len(range(w, len(slices), procs))
-            worker.send((*setup, w, procs, targets is not None), fds)
+            worker.send((*setup, w, procs, targets is not None), [_region.fd])
         for i, rows in enumerate(slices):
             w = i % procs
             if w == 0:
                 _fold(params, i, chunk(model, inputs, targets, preds, rows))
-                continue
-            slot = crew[w - 1].collect()
-            if slot is not None:
-                _fold(params, i, slots[(w - 1) * SLOTS + slot])
-                crew[w - 1].send(("free", slot))
+            elif crew[w - 1].collect():
+                _fold(params, i, slots[w - 1])
+                crew[w - 1].send("free")
     finally:
         _settle(crew)
     return preds.copy()                 # the region is the next step's

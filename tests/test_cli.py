@@ -230,6 +230,17 @@ def test_sweep_command(run_config, tmp_path, capsys):
             assert (tmp_path / "run" / f"L{span}D{hop}" / "checkpoint.pckp").exists()
 
 
+def test_sweep_scores_horizon_k_by_default(run_config, tmp_path, capsys):
+    # K = 3 here: a default of frame 10 would lie outside every cell's range.
+    path, config = run_config
+    config["train"]["epochs"] = 1
+    config["train"]["lr_decay_epochs"] = []
+    path.write_text(yaml.safe_dump(config))
+    assert cli.main(["sweep", str(path), "--spans", "0,1", "--hops", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[rows.index("L  D  error@3") + 1].startswith("0  0  ")
+
+
 def test_sweep_predicts_each_window_once_per_cell(run_config, tmp_path, dataset, capsys,
                                                   monkeypatch):
     path, config = run_config

@@ -875,6 +875,31 @@ class TestChunkPool:
         monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
         assert model.predict(x).tobytes() == spread.tobytes()
 
+    @needs_memfd
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc here")
+    def test_no_process_keeps_a_stale_region_mapping(self, openblas, monkeypatch):
+        # Three workers predict 64 chain_8 windows; then one worker predicts
+        # 256, which grows the region. Between steps the caller maps only
+        # the new region, and no worker maps any once it has returned from
+        # the step, just after sending its last chunk.
+        def mappings(pid="self"):
+            with open(f"/proc/{pid}/maps") as f:
+                return sum("posecast-chunks" in line for line in f)
+
+        model = benchmark_model("chain_8")
+        x = np.random.default_rng(20).normal(size=(256, 10, 8, 3))
+        workers.shutdown()                  # drop the region earlier tests grew
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 4)
+        model.predict(x[:64])
+        assert len(workers._workers) == 3
+        monkeypatch.setattr(ad, "_usable_cores", lambda: 2)
+        model.predict(x)
+        assert mappings() == 1
+        pids, deadline = [w.pid for w in workers._workers], time.monotonic() + 10
+        while any(map(mappings, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [mappings(pid) for pid in pids] == [0, 0, 0]
+
     def test_no_thread_outlives_a_call(self, openblas, monkeypatch):
         # Chunks run on processes: predict and evaluate start no thread.
         model = benchmark_model("chain_8")

@@ -616,6 +616,35 @@ class TestTrainingWorkers:
                        "KeyboardInterrupt interrupted 1",
                        f"{GOLDEN_TRAINED['h36m22', 32]} True"]
 
+    def test_an_error_that_pickles_but_does_not_load_is_raised_by_name(self):
+        # The worker's chunk raises an exception whose pickle fails to load.
+        # The caller raises a RuntimeError naming it, rather than waiting
+        # on a worker that has ended its step, and the same worker then
+        # predicts the plain loop's bytes.
+        out = run_worker_child("""
+            class Odd(Exception):
+                def __init__(self, what, c):
+                    super().__init__(f"{what} {c}")
+
+            caller = os.getpid()
+
+            def odd_chunk(model, inputs, targets, preds, rows):
+                if os.getpid() != caller:
+                    raise Odd("chunk", rows.start)
+                pm._predict_chunk(model, inputs, targets, preds, rows)
+
+            model, x = benchmark_model(), windows.inputs[:8]       # two chunks
+            spread, crew = model.predict(x), pids()
+            try:
+                workers.step(model, odd_chunk, x)
+            except RuntimeError as exc:
+                print(exc)
+            print(len(crew), pids() == crew, model.predict(x).tobytes() == spread.tobytes())
+            ad._usable_cores = lambda: 1
+            print(model.predict(x).tobytes() == spread.tobytes())
+        """)
+        assert out == ["Odd: chunk 4", "1 True True", "True"]
+
     def test_a_child_forked_after_training_trains_with_a_worker_of_its_own(self):
         # A child forked after training trains, and one forked after a
         # predict predicts, with a worker of its own.
