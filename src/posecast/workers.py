@@ -24,9 +24,10 @@ Workers are forked at the first step with more than one chunk and kept
 for the life of the process, as is the caller's mapping of the region
 while it is large enough: after a fork the caller takes a copy-on-write
 fault on every page it writes, so a fork per call would fault in its
-whole working set each call. ``atexit`` closes the sockets and reaps
-the workers. A worker ignores SIGINT and leaves when its socket reaches
-end of file, and any other forked child drops the handles it inherits.
+whole working set each call. A step that raises kills its workers; the
+next forks new ones. ``atexit`` kills and reaps the workers. A worker
+ignores SIGINT and leaves when its socket reaches end of file, and any
+other forked child drops the handles it inherits.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import signal
 import socket
 import threading
 import traceback
+import warnings
 
 import numpy as np
 
@@ -72,7 +74,7 @@ class _Worker:
                 mine.close()
                 _serve(theirs)
                 code = 0
-            except (EOFError, ConnectionError):
+            except ConnectionError:
                 code = 0                    # the caller has gone
             except BaseException:
                 traceback.print_exc()
@@ -80,7 +82,7 @@ class _Worker:
                 os._exit(code)
         theirs.close()
         self.sock = mine
-        self.owed = 0                       # messages it has still to send this step
+        self.status = None                  # its wait status, once reaped
 
     def send(self, message, fds=()):
         try:
@@ -92,29 +94,15 @@ class _Worker:
         """Wait for the worker's next chunk; return whether its gradients
         are in the worker's slot, or raise the chunk's exception."""
         try:
-            data = self.sock.recv(_MESSAGE)
-        except OSError:
-            data = b""
-        if not data:
-            raise self.died()
-        kind, value = pickle.loads(data)
-        self.owed = 0 if kind == "error" else self.owed - 1
+            kind, value = pickle.loads(self.sock.recv(_MESSAGE))
+        except (OSError, EOFError):         # EOFError: the socket is at end of file
+            raise self.died() from None
         if kind != "error":
             return value
         try:
             raise value
         finally:
             del value           # a cycle of this frame and the error would keep the region mapped
-
-    def drain(self):
-        """Take what the worker has still to send this step, freeing its
-        slot, so that it waits for the next step."""
-        while self.owed:
-            try:
-                if self.collect():
-                    self.send("free")
-            except Exception:
-                pass                # an error ends its step; a death discards it
 
     def died(self):
         """Discard the worker; return the error that says how it ended."""
@@ -127,30 +115,28 @@ class _Worker:
         return RuntimeError(f"chunk worker {self.pid} {how}")
 
     def discard(self):
-        """Close the socket, then kill and reap the worker; returns its wait status."""
-        if self in _workers:
+        """Close the socket, then kill and reap the worker unless it is
+        reaped already; returns its wait status."""
+        if self.status is None:
             _workers.remove(self)
-        self.sock.close()
-        self.owed = 0
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        return os.waitpid(self.pid, 0)[1]
+            self.sock.close()
+            os.kill(self.pid, signal.SIGKILL)       # not reaped, so the pid is still its
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
 
 
 _workers = []                   # live workers, in fork order
 _region = None                  # the shared region, kept while large enough
 _lock = threading.Lock()        # held by the step that uses the workers
+_warned = False                 # whether a live thread has kept a step serial
 
 
 def shutdown():
-    """Close every worker's socket, reap the workers and drop the region.
-    Runs at exit; a later step of several chunks forks workers afresh."""
-    pids = [worker.pid for worker in _workers]
+    """Kill and reap the workers and drop the region. Runs at exit; a
+    later step of several chunks forks workers afresh."""
+    while _workers:
+        _workers[0].discard()
     _forget()
-    for pid in pids:
-        os.waitpid(pid, 0)
 
 
 def _forget():
@@ -204,21 +190,22 @@ def _carve(flat, shapes, count):
     return sets[0], sets[1:], views[-3:]
 
 
-def _receive(sock):
-    data, fds, _, _ = socket.recv_fds(sock, _MESSAGE, 1)
-    if not data:
-        raise EOFError
-    return pickle.loads(data), fds
-
-
 def _serve(sock):
-    """A worker's loop, until the socket closes: keep the model between
-    steps, and skip a free that a step which raised left unread."""
+    """A worker's loop, until the socket closes: run each step message,
+    keeping the model between steps. A message that does not load, such
+    as one naming a function defined after the fork, is that step's error."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     model = None
     while True:
-        message, fds = _receive(sock)
-        if message != "free":
+        data, fds, _, _ = socket.recv_fds(sock, _MESSAGE, 1)
+        if not data:
+            return
+        try:
+            message = pickle.loads(data)
+        except Exception as exc:
+            os.close(fds[0])
+            sock.send(pickle.dumps(("error", _portable(exc))))
+        else:
             model = _run(sock, model, fds[0], *message)
 
 
@@ -244,25 +231,12 @@ def _run(sock, model, fd, chunk, cls, skeleton, config, n, first, stride, with_t
             break
         if grads is not None:
             if written:
-                _receive(sock)          # the free of the slot: nothing else comes mid-step
+                sock.recv(_MESSAGE)     # the free of the slot, sent while a later chunk is due
             for slot, g in zip(slots[first - 1], grads):
                 np.copyto(slot, g)
             written = True
         sock.send(pickle.dumps(("done", grads is not None)))
     return model
-
-
-def _settle(crew):
-    """Bring each worker back to waiting for a step; on an interrupt while
-    doing so, discard them all instead."""
-    try:
-        for worker in crew:
-            worker.drain()
-    except BaseException:
-        for worker in crew:
-            if worker in _workers:
-                worker.discard()
-        raise
 
 
 def step(model, chunk, inputs, targets=None):
@@ -271,20 +245,20 @@ def step(model, chunk, inputs, targets=None):
     of its own.
 
     A call writes its rows of ``preds`` and returns its gradients, one
-    array per parameter, or None; ``targets`` is None for chunks that
-    read none. The step folds the gradients into each parameter's
-    ``grad`` in chunk order; a worker maps the shared region for the step
-    only and holds one chunk's gradients there at a time. A raising
-    chunk's exception is raised, the lowest chunk's if several raise,
-    once the workers have finished the step; a worker that dies raises a
-    RuntimeError naming its pid and signal, and the next step forks
-    another.
+    array per parameter, or None, the same for every call of a step;
+    ``targets`` is None for chunks that read none. The step folds the
+    gradients into each parameter's ``grad`` in chunk order. A raising
+    chunk's exception is raised, the lowest chunk's of those that ran; a
+    worker that dies raises a RuntimeError naming its pid and signal. A
+    step that raises, on an interrupt too, kills its workers without
+    waiting for their other chunks, and the next step forks new ones.
 
     The plain loop runs in the caller, with the same bytes, for a step of
     one chunk, with one usable core, where the import could not pin
     OpenBLAS, where ``os.fork`` or ``os.memfd_create`` is missing, while
     another thread's step holds the workers, and, until workers exist,
-    while another thread is alive.
+    while another thread is alive; the first step that runs serially for
+    that last reason issues a RuntimeWarning.
     """
     slices = ad.chunk_slices(len(inputs), model.window_rows)
     params = model.parameters()
@@ -321,7 +295,6 @@ def _spread(crew, model, chunk, params, slices, inputs, targets):
     setup = (chunk, type(model), model.skeleton, model.config, n)
     try:
         for w, worker in enumerate(crew, 1):
-            worker.owed = len(range(w, len(slices), procs))
             worker.send((*setup, w, procs, targets is not None), [_region.fd])
         for i, rows in enumerate(slices):
             w = i % procs
@@ -329,25 +302,32 @@ def _spread(crew, model, chunk, params, slices, inputs, targets):
                 _fold(params, i, chunk(model, inputs, targets, preds, rows))
             elif crew[w - 1].collect():
                 _fold(params, i, slots[w - 1])
-                crew[w - 1].send("free")
-    finally:
-        _settle(crew)
+                if i + procs < len(slices):
+                    crew[w - 1].send("free")
+    except BaseException:
+        for worker in crew:
+            worker.discard()
+        raise
     return preds.copy()                 # the region is the next step's
 
 
 def _crew(chunks):
     """The workers that take a share of a step of ``chunks`` chunks, forked
     as needed; [] for the plain loop."""
+    global _warned
     cores = ad._usable_cores() if ad._set_blas_threads is not None else 1
     want = min(cores, chunks) - 1
     if want < 1 or not hasattr(os, "memfd_create"):
         return []
     try:
-        while (len(_workers) < want and hasattr(os, "fork")
-               and threading.active_count() == 1):
+        while len(_workers) < want and hasattr(os, "fork") and threading.active_count() == 1:
             _workers.append(_Worker())
     except OSError:
         pass                            # no fork now: run with the workers there are
+    if not (_workers or _warned or threading.active_count() == 1):
+        _warned = True
+        warnings.warn("another thread is alive, so posecast forks no chunk worker and runs "
+                      "this step's chunks serially", RuntimeWarning, stacklevel=4)
     return _workers[:want]
 
 

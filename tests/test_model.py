@@ -739,6 +739,12 @@ def pid_chunk(model, inputs, targets, preds, rows):
     preds[rows] = os.getpid()
 
 
+def assert_childless():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def failing_chunk(model, inputs, targets, preds, rows):
     """``predict``'s chunk, except that chunks 2 and 3 of a call raise."""
     i = rows.start // ad.chunk_size(model.window_rows)
@@ -783,13 +789,18 @@ class TestChunkPool:
             assert model.predict(x[-b:]).tobytes() == out.tobytes(), b
 
     @needs_memfd
-    def test_a_raising_chunk_waits_for_the_others(self, openblas):
-        # This process's chunk 0 raises. The call collects the worker's
-        # chunk first, so the worker owes nothing and serves the next call.
+    def test_a_raising_chunk_discards_the_crew(self, openblas, monkeypatch):
+        # This process's chunk 0 raises. The call kills and reaps the
+        # worker rather than collect its chunk, and the next call forks
+        # one new worker and predicts the plain loop's bytes.
         model = benchmark_model("h36m22")
         x = np.random.default_rng(16).normal(size=(9, 10, 22, 3))      # three chunks
-        expected = model.predict(x).tobytes()
-        crew = list(workers._workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_usable_cores", lambda: 1)
+            plain = model.predict(x).tobytes()
+        workers.shutdown()
+        model.predict(x)
+        crew = [w.pid for w in workers._workers]
 
         def failing(chunk):
             raise DimensionError("chunk 0")
@@ -797,22 +808,29 @@ class TestChunkPool:
         model.forward = failing
         with pytest.raises(DimensionError, match="chunk 0"):
             model.predict(x)
-        assert workers._workers == crew and all(w.owed == 0 for w in crew)
+        assert workers._workers == []
+        assert_childless()
         del model.forward
-        assert model.predict(x).tobytes() == expected
+        assert model.predict(x).tobytes() == plain
+        assert len(workers._workers) == 1 and workers._workers[0].pid not in crew
 
     @needs_memfd
     def test_the_first_raising_slice_raises(self, openblas, monkeypatch):
         # Chunk 2 raises here and chunk 3 on the worker: chunk 2's error is
-        # raised once the worker's is collected, and the next call runs.
+        # raised at once, the worker is discarded, and the next call forks
+        # another that predicts the plain loop's bytes.
         model = benchmark_model("h36m22")
         x = np.random.default_rng(17).normal(size=(20, 10, 22, 3))     # five chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_usable_cores", lambda: 1)
+            plain = model.predict(x).tobytes()
+        workers.shutdown()
         with pytest.raises(DimensionError, match="chunk 2"):
             workers.step(model, failing_chunk, x)
-        assert all(w.owed == 0 for w in workers._workers)
-        after = model.predict(x).tobytes()
-        monkeypatch.setattr(ad, "_usable_cores", lambda: 1)
-        assert model.predict(x).tobytes() == after
+        assert workers._workers == []
+        assert_childless()
+        assert model.predict(x).tobytes() == plain
+        assert len(workers._workers) == 1
 
     @needs_memfd
     def test_slice_i_runs_on_process_i_mod_p(self, openblas, monkeypatch):

@@ -447,10 +447,11 @@ GOLDEN_TRAINED = {
 # A child's preamble: two usable cores, so that training and predict fork
 # a worker; ``trained(b)`` trains the h36m22 benchmark model for two Adam
 # steps on the first b of 42 windows and returns the sha256 of its
-# parameters, and ``predicted(b)`` the sha256 of its initial predictions
-# for those windows.
+# parameters, ``predicted(b)`` the sha256 of its initial predictions for
+# those windows, and ``childless()`` whether the process has no child,
+# running or unreaped.
 WORKER_CHILD = textwrap.dedent("""
-    import hashlib, os, signal, sys
+    import hashlib, os, signal, sys, time
     from posecast import autodiff as ad
     from posecast import model as pm
     from posecast import workers
@@ -476,13 +477,20 @@ WORKER_CHILD = textwrap.dedent("""
 
     def pids():
         return [w.pid for w in workers._workers]
+
+    def childless():
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
 """)
 
 
-def run_worker_child(body):
+def run_worker_child(body, timeout=120):
     """Run WORKER_CHILD then ``body`` in a fresh process; returns its stdout lines."""
     run = subprocess.run([sys.executable, "-c", WORKER_CHILD + textwrap.dedent(body)],
-                         capture_output=True, text=True, timeout=120, env=child_env())
+                         capture_output=True, text=True, timeout=timeout, env=child_env())
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()
 
@@ -585,18 +593,20 @@ class TestTrainingWorkers:
             assert rest == ["True True 1", "True"]
 
     def test_a_chunk_raising_in_a_worker_raises_its_error_in_the_caller(self):
-        # The worker's first chunk raises; then the caller's second chunk
-        # of a step raises KeyboardInterrupt. Each call raises its error,
-        # and the same worker then trains the plain loop's bytes.
+        # The first worker's first chunk raises; then the caller's second
+        # chunk of a step raises KeyboardInterrupt. Each call raises its
+        # error and kills and reaps its worker, and the next call forks a
+        # new one, which trains the plain loop's bytes. Whether a worker
+        # raises is fixed at its fork by the caller's ``armed``, which the
+        # caller clears once the first worker has raised.
         out = run_worker_child("""
             from posecast.autodiff import DimensionError
 
-            caller, failed, countdown = os.getpid(), [], []
+            caller, armed, countdown = os.getpid(), [True], []
             forward = pm.ForecastModel.forward
 
             def failing(self, x):
-                if os.getpid() != caller and not failed:
-                    failed.append(True)
+                if os.getpid() != caller and armed:
                     raise DimensionError(f"a chunk of {len(x)} windows failed")
                 if os.getpid() == caller and countdown and countdown.pop() == 1:
                     raise KeyboardInterrupt("interrupted")
@@ -608,19 +618,19 @@ class TestTrainingWorkers:
                 try:
                     trained(32)
                 except (DimensionError, KeyboardInterrupt) as exc:
-                    print(type(exc).__name__, exc, len(pids()))
-            worker = pids()
-            print(trained(32), pids() == worker)
+                    print(type(exc).__name__, exc, pids(), childless())
+                armed.clear()
+            print(trained(32), len(pids()))
         """)
-        assert out == ["DimensionError a chunk of 4 windows failed 1",
-                       "KeyboardInterrupt interrupted 1",
-                       f"{GOLDEN_TRAINED['h36m22', 32]} True"]
+        assert out == ["DimensionError a chunk of 4 windows failed [] True",
+                       "KeyboardInterrupt interrupted [] True",
+                       f"{GOLDEN_TRAINED['h36m22', 32]} 1"]
 
     def test_an_error_that_pickles_but_does_not_load_is_raised_by_name(self):
         # The worker's chunk raises an exception whose pickle fails to load.
-        # The caller raises a RuntimeError naming it, rather than waiting
-        # on a worker that has ended its step, and the same worker then
-        # predicts the plain loop's bytes.
+        # The caller raises a RuntimeError naming it and discards the
+        # worker, and the next call forks a new one that predicts the plain
+        # loop's bytes.
         out = run_worker_child("""
             class Odd(Exception):
                 def __init__(self, what, c):
@@ -639,11 +649,77 @@ class TestTrainingWorkers:
                 workers.step(model, odd_chunk, x)
             except RuntimeError as exc:
                 print(exc)
-            print(len(crew), pids() == crew, model.predict(x).tobytes() == spread.tobytes())
+            print(len(crew), pids(), childless())
+            print(model.predict(x).tobytes() == spread.tobytes(), len(pids()), pids() != crew)
             ad._usable_cores = lambda: 1
             print(model.predict(x).tobytes() == spread.tobytes())
         """)
-        assert out == ["Odd: chunk 4", "1 True True", "True"]
+        assert out == ["Odd: chunk 4", "1 [] True", "True 1 True", "True"]
+
+    def test_a_raising_step_does_not_wait_for_the_workers_chunks(self):
+        # The caller's chunk 0 raises while the worker sleeps 30 s in
+        # chunk 1: the step raises within 5 s, having killed the worker.
+        out = run_worker_child("""
+            from posecast.autodiff import DimensionError
+
+            caller = os.getpid()
+
+            def sleepy_chunk(model, inputs, targets, preds, rows):
+                if os.getpid() != caller:
+                    time.sleep(30)
+                raise DimensionError(f"chunk at row {rows.start}")
+
+            model, x = benchmark_model(), windows.inputs[:8]       # two chunks
+            start = time.monotonic()
+            try:
+                workers.step(model, sleepy_chunk, x)
+            except DimensionError as exc:
+                print(exc, time.monotonic() - start < 5, pids(), childless())
+        """, timeout=20)
+        assert out == ["chunk at row 0 True [] True"]
+
+    def test_a_step_message_the_worker_cannot_load_is_raised_by_name(self):
+        # A chunk function defined after the worker was forked is not in
+        # the worker's __main__: the caller raises the worker's
+        # AttributeError naming it, and the retry forks a worker that has
+        # it and predicts the plain loop's bytes.
+        out = run_worker_child("""
+            model, x = benchmark_model(), windows.inputs[:8]       # two chunks
+            spread, crew = model.predict(x), pids()
+
+            def late_chunk(model, inputs, targets, preds, rows):
+                pm._predict_chunk(model, inputs, targets, preds, rows)
+
+            try:
+                workers.step(model, late_chunk, x)
+            except AttributeError as exc:
+                print(exc)
+            print(len(crew), pids(), childless())
+            retry = workers.step(model, late_chunk, x)
+            print(retry.tobytes() == spread.tobytes(), len(pids()), pids() != crew)
+            ad._usable_cores = lambda: 1
+            print(model.predict(x).tobytes() == spread.tobytes())
+        """)
+        assert out[0].startswith("Can't get attribute 'late_chunk' on <module '__main__'")
+        assert out[1:] == ["1 [] True", "True 1 True", "True"]
+
+    def test_a_live_thread_that_keeps_steps_serial_warns_once(self):
+        # A daemon thread started before the first step of several chunks:
+        # no worker can be forked, so every step runs the plain loop, and
+        # the first one issues the one RuntimeWarning of the process.
+        out = run_worker_child("""
+            import threading, warnings
+
+            threading.Thread(target=threading.Event().wait, daemon=True).start()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first = predicted(8)
+                second, third = predicted(8), trained(8)
+            print(len(caught), caught[0].category.__name__, pids())
+            ad._usable_cores = lambda: 1
+            print(predicted(8) == first == second, trained(8) == third)
+        """)
+        assert out == ["1 RuntimeWarning []", "True True"]
 
     def test_a_child_forked_after_training_trains_with_a_worker_of_its_own(self):
         # A child forked after training trains, and one forked after a
